@@ -18,32 +18,35 @@ import (
 // in-memory ones, so disk answers are byte-identical to memory answers.
 
 // TopK returns the k nodes most similar to u (excluding u itself) in
-// descending score order, from one disk single-source evaluation and a
-// size-k heap selection. vec is the score buffer to compute into
-// (allocated when it lacks capacity); nil scratches allocate.
-func (d *DiskIndex) TopK(u graph.NodeID, k int, s *DiskScratch, ss *SourceScratch, vec []float64) ([]TopEntry, error) {
-	if k <= 0 {
-		return nil, nil
-	}
-	scores, err := d.SingleSource(u, s, ss, vec)
-	if err != nil {
-		return nil, err
-	}
-	return SelectTop(scores, k, u), nil
+// descending score order, from one disk fetch, the in-memory gather and
+// propagation, and a heap selection over the touched nodes. Nil scratches
+// allocate.
+func (d *DiskIndex) TopK(u graph.NodeID, k int, s *DiskScratch, ss *SourceScratch) ([]TopEntry, error) {
+	return d.sourceTop(u, k, u, s, ss)
 }
 
 // SourceTop returns the limit highest-scoring nodes for source u (u
 // itself included, unlike TopK) in descending score order, ties broken
 // by ascending node ID.
-func (d *DiskIndex) SourceTop(u graph.NodeID, limit int, s *DiskScratch, ss *SourceScratch, vec []float64) ([]TopEntry, error) {
-	if limit <= 0 {
+func (d *DiskIndex) SourceTop(u graph.NodeID, limit int, s *DiskScratch, ss *SourceScratch) ([]TopEntry, error) {
+	return d.sourceTop(u, limit, -1, s, ss)
+}
+
+func (d *DiskIndex) sourceTop(u graph.NodeID, k int, skip graph.NodeID, s *DiskScratch, ss *SourceScratch) ([]TopEntry, error) {
+	if k <= 0 {
 		return nil, nil
 	}
-	scores, err := d.SingleSource(u, s, ss, vec)
+	if s == nil {
+		s = d.NewScratch()
+	}
+	if ss == nil {
+		ss = d.meta.NewSourceScratch()
+	}
+	keys, vals, err := d.gather(u, s)
 	if err != nil {
 		return nil, err
 	}
-	return SelectTop(scores, limit, -1), nil
+	return d.meta.topFrom(keys, vals, k, skip, 0, d.meta.g.NumNodes(), ss), nil
 }
 
 // SingleSourceBatch answers one single-source query per source in us,
@@ -126,7 +129,6 @@ type DiskScratchPool struct {
 	d       *DiskIndex
 	scratch sync.Pool // *DiskScratch
 	source  sync.Pool // *SourceScratch
-	vec     sync.Pool // *[]float64, len = NumNodes
 }
 
 // NewScratchPool returns a pool of query scratch for the disk index.
@@ -134,10 +136,6 @@ func (d *DiskIndex) NewScratchPool() *DiskScratchPool {
 	p := &DiskScratchPool{d: d}
 	p.scratch.New = func() interface{} { return d.NewScratch() }
 	p.source.New = func() interface{} { return d.meta.NewSourceScratch() }
-	p.vec.New = func() interface{} {
-		v := make([]float64, d.meta.g.NumNodes())
-		return &v
-	}
 	return p
 }
 
@@ -160,32 +158,28 @@ func (p *DiskScratchPool) SingleSource(u graph.NodeID, out []float64) ([]float64
 	return res, err
 }
 
-// TopK is DiskIndex.TopK with pooled scratch and score vector; only the
-// k-element result is allocated.
+// TopK is DiskIndex.TopK with pooled scratch; only the result is
+// allocated.
 func (p *DiskScratchPool) TopK(u graph.NodeID, k int) ([]TopEntry, error) {
 	if k <= 0 {
 		return nil, nil
 	}
 	s := p.scratch.Get().(*DiskScratch)
 	ss := p.source.Get().(*SourceScratch)
-	vec := p.vec.Get().(*[]float64)
-	top, err := p.d.TopK(u, k, s, ss, *vec)
-	p.vec.Put(vec)
+	top, err := p.d.TopK(u, k, s, ss)
 	p.source.Put(ss)
 	p.scratch.Put(s)
 	return top, err
 }
 
-// SourceTop is DiskIndex.SourceTop with pooled scratch and score vector.
+// SourceTop is DiskIndex.SourceTop with pooled scratch.
 func (p *DiskScratchPool) SourceTop(u graph.NodeID, limit int) ([]TopEntry, error) {
 	if limit <= 0 {
 		return nil, nil
 	}
 	s := p.scratch.Get().(*DiskScratch)
 	ss := p.source.Get().(*SourceScratch)
-	vec := p.vec.Get().(*[]float64)
-	top, err := p.d.SourceTop(u, limit, s, ss, *vec)
-	p.vec.Put(vec)
+	top, err := p.d.SourceTop(u, limit, s, ss)
 	p.source.Put(ss)
 	p.scratch.Put(s)
 	return top, err

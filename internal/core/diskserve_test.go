@@ -146,7 +146,7 @@ func TestDiskServeMatchesMemory(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantTop := x.TopK(u, 7, ss, nil)
+			wantTop := x.TopK(u, 7, ss)
 			if len(gotTop) != len(wantTop) {
 				t.Fatalf("TopK length %d vs %d", len(gotTop), len(wantTop))
 			}
@@ -248,7 +248,7 @@ func TestDiskScratchPoolConcurrent(t *testing.T) {
 	ss := x.NewSourceScratch()
 	wantPair := x.SimRank(3, 9, nil)
 	wantVec := append([]float64(nil), x.SingleSource(7, ss, nil)...)
-	wantTop := x.TopK(5, 6, ss, nil)
+	wantTop := x.TopK(5, 6, ss)
 	var wg sync.WaitGroup
 	errs := make(chan string, 16)
 	for w := 0; w < 8; w++ {

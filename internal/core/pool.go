@@ -47,10 +47,11 @@ func (p *ScratchPool) PutSource(s *SourceScratch) { p.source.Put(s) }
 
 // Vector gets a NumNodes-length float64 buffer (contents unspecified;
 // SingleSource zeroes what it writes into). Return it with PutVector.
-func (p *ScratchPool) Vector() []float64 { return *p.vec.Get().(*[]float64) }
+// The buffer travels by pointer so the round trip does not allocate.
+func (p *ScratchPool) Vector() *[]float64 { return p.vec.Get().(*[]float64) }
 
 // PutVector returns a buffer obtained from Vector.
-func (p *ScratchPool) PutVector(v []float64) { p.vec.Put(&v) }
+func (p *ScratchPool) PutVector(v *[]float64) { p.vec.Put(v) }
 
 // SimRank is Index.SimRank with pooled scratch.
 func (p *ScratchPool) SimRank(u, v graph.NodeID) float64 {
@@ -69,16 +70,13 @@ func (p *ScratchPool) SingleSource(u graph.NodeID, out []float64) []float64 {
 	return res
 }
 
-// TopK is Index.TopK with pooled scratch and score vector; only the
-// k-element result is allocated.
+// TopK is Index.TopK with pooled scratch; only the result is allocated.
 func (p *ScratchPool) TopK(u graph.NodeID, k int) []TopEntry {
 	if k <= 0 {
 		return nil
 	}
 	s := p.Source()
-	vec := p.Vector()
-	top := p.x.TopK(u, k, s, vec)
-	p.PutVector(vec)
+	top := p.x.TopK(u, k, s)
 	p.PutSource(s)
 	return top
 }
@@ -91,9 +89,7 @@ func (p *ScratchPool) SourceTop(u graph.NodeID, limit int) []TopEntry {
 		return nil
 	}
 	s := p.Source()
-	vec := p.Vector()
-	top := SelectTop(p.x.SingleSource(u, s, vec), limit, -1)
-	p.PutVector(vec)
+	top := p.x.sourceTop(u, limit, -1, s)
 	p.PutSource(s)
 	return top
 }

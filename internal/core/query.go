@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/bits"
 	"slices"
 
 	"sling/internal/graph"
@@ -17,10 +19,12 @@ type Scratch struct {
 	ka, kb []uint64
 	va, vb []float64
 
-	// Dense accumulator with a touched list for Algorithm 5 step-2 sums
-	// and enhancement expansion.
+	// Dense accumulator for the Algorithm 5 step-2 sums, with the nodes
+	// it touched both listed and set in a bitmap of n/64 words. acc and
+	// seen are all-zero between calls.
 	acc     []float64
 	touched []int32
+	seen    []uint64
 
 	addKeys []uint64
 	addVals []float64
@@ -28,7 +32,8 @@ type Scratch struct {
 
 // NewScratch sizes a Scratch for the index's graph.
 func (x *Index) NewScratch() *Scratch {
-	return &Scratch{acc: make([]float64, x.g.NumNodes())}
+	n := x.g.NumNodes()
+	return &Scratch{acc: make([]float64, n), seen: make([]uint64, (n+63)/64)}
 }
 
 // appendExactSteps12 appends node v's exact step-1 and step-2 HPs
@@ -45,8 +50,11 @@ func (x *Index) appendExactSteps12(v graph.NodeID, s *Scratch, keys []uint64, va
 		keys = append(keys, entryKey(1, u))
 		vals = append(vals, h1)
 	}
-	// Step 2: accumulate over two-hop in-paths.
+	// Step 2: accumulate over two-hop in-paths, recording each touched
+	// node in the list and the bitmap, and the bitmap words [lo, hi)
+	// they span.
 	s.touched = s.touched[:0]
+	lo, hi := int32(math.MaxInt32), int32(0)
 	for _, u := range ins {
 		uins := x.g.InNeighbors(u)
 		if len(uins) == 0 {
@@ -56,9 +64,31 @@ func (x *Index) appendExactSteps12(v graph.NodeID, s *Scratch, keys []uint64, va
 		for _, y := range uins {
 			if s.acc[y] == 0 {
 				s.touched = append(s.touched, y)
+				s.seen[y>>6] |= 1 << (y & 63)
+				lo, hi = min(lo, y>>6), max(hi, y>>6+1)
 			}
 			s.acc[y] += add
 		}
+	}
+	t := len(s.touched)
+	if t == 0 {
+		return keys, vals
+	}
+	// Emit in node order by whichever is cheaper: sorting the t touched
+	// IDs (~t·log₂t) or walking the hi-lo bitmap words. Either way acc
+	// and seen are left all-zero.
+	if t*bits.Len(uint(t)) >= int(hi-lo) {
+		for w := lo; w < hi; w++ {
+			word := s.seen[w]
+			s.seen[w] = 0
+			for ; word != 0; word &= word - 1 {
+				y := w<<6 | int32(bits.TrailingZeros64(word))
+				keys = append(keys, entryKey(2, y))
+				vals = append(vals, s.acc[y])
+				s.acc[y] = 0
+			}
+		}
+		return keys, vals
 	}
 	// slices.Sort, not sort.Slice: the closure-into-interface boxing
 	// would allocate on a query path that must stay allocation-free.
@@ -67,6 +97,7 @@ func (x *Index) appendExactSteps12(v graph.NodeID, s *Scratch, keys []uint64, va
 		keys = append(keys, entryKey(2, y))
 		vals = append(vals, s.acc[y])
 		s.acc[y] = 0
+		s.seen[y>>6] = 0
 	}
 	return keys, vals
 }

@@ -609,12 +609,22 @@ func (d *DiskIndex) SingleSource(u graph.NodeID, s *DiskScratch, ss *SourceScrat
 	if s == nil {
 		s = d.NewScratch()
 	}
-	ku, vu, err := d.fetch(u, s, &s.ka, &s.va)
+	keys, vals, err := d.gather(u, s)
 	if err != nil {
 		return nil, err
 	}
-	keys, vals := d.meta.gatherFrom(u, ku, vu, s.q, &s.gka, &s.gva)
 	return d.meta.SingleSourceFrom(keys, vals, ss, out), nil
+}
+
+// gather is Index.gather over disk-resident entries: one fetch into the
+// scratch's first buffer pair, then the in-memory transformations.
+func (d *DiskIndex) gather(u graph.NodeID, s *DiskScratch) ([]uint64, []float64, error) {
+	ku, vu, err := d.fetch(u, s, &s.ka, &s.va)
+	if err != nil {
+		return nil, nil, err
+	}
+	keys, vals := d.meta.gatherFrom(u, ku, vu, s.q, &s.gka, &s.gva)
+	return keys, vals, nil
 }
 
 // SimRank answers a single-pair query with two positioned reads (or two

@@ -18,9 +18,10 @@ import (
 //   - single-source propagation (Algorithm 6) reads only the graph, d̃,
 //     and the parameters, which every shard holds in full, so any shard
 //     can propagate a broadcast fragment exactly and return its slice of
-//     the score vector (SingleSourceFrom + a range copy);
+//     the score vector;
 //   - top-k selection has a total deterministic order (WorseThan), so
-//     per-shard SelectTopRange answers of a partition merge losslessly.
+//     per-shard top-k answers over a partition of the node range merge
+//     losslessly.
 //
 // Every path reuses the single-index query code verbatim, so sharded
 // answers are bitwise-identical to the unsharded reference.
@@ -46,11 +47,10 @@ func (d *DiskIndex) FragmentOf(u graph.NodeID, s *DiskScratch) (keys []uint64, v
 	if s == nil {
 		s = d.NewScratch()
 	}
-	ku, vu, err := d.fetch(u, s, &s.ka, &s.va)
+	gk, gv, err := d.gather(u, s)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	gk, gv := d.meta.gatherFrom(u, ku, vu, s.q, &s.gka, &s.gva)
 	keys, vals, dvals = copyFragment(gk, gv, d.meta.d)
 	return keys, vals, dvals, nil
 }
@@ -155,22 +155,16 @@ func (p *ScratchPool) Fragment(u graph.NodeID) (keys []uint64, vals, dvals []flo
 // the resulting score vector, with pooled scratch.
 func (p *ScratchPool) SourceSlice(keys []uint64, vals []float64, lo, hi int) []float64 {
 	s := p.Source()
-	vec := p.Vector()
-	res := p.x.SingleSourceFrom(keys, vals, s, vec)
-	out := append([]float64(nil), res[lo:hi]...)
-	p.PutVector(vec)
+	out := p.x.sliceFrom(keys, vals, lo, hi, s)
 	p.PutSource(s)
 	return out
 }
 
 // TopSlice propagates a fragment and selects the local top-k of the
-// [lo, hi) node range, with pooled scratch.
+// [lo, hi) node range over the touched nodes only, with pooled scratch.
 func (p *ScratchPool) TopSlice(keys []uint64, vals []float64, k int, skip graph.NodeID, lo, hi int) []TopEntry {
 	s := p.Source()
-	vec := p.Vector()
-	res := p.x.SingleSourceFrom(keys, vals, s, vec)
-	top := SelectTopRange(res, k, skip, lo, hi)
-	p.PutVector(vec)
+	top := p.x.topFrom(keys, vals, k, skip, lo, hi, s)
 	p.PutSource(s)
 	return top
 }
@@ -187,10 +181,7 @@ func (p *DiskScratchPool) Fragment(u graph.NodeID) (keys []uint64, vals, dvals [
 // uses only the memory-resident metadata, so no I/O occurs.
 func (p *DiskScratchPool) SourceSlice(keys []uint64, vals []float64, lo, hi int) []float64 {
 	ss := p.source.Get().(*SourceScratch)
-	vec := p.vec.Get().(*[]float64)
-	res := p.d.meta.SingleSourceFrom(keys, vals, ss, *vec)
-	out := append([]float64(nil), res[lo:hi]...)
-	p.vec.Put(vec)
+	out := p.d.meta.sliceFrom(keys, vals, lo, hi, ss)
 	p.source.Put(ss)
 	return out
 }
@@ -198,10 +189,7 @@ func (p *DiskScratchPool) SourceSlice(keys []uint64, vals []float64, lo, hi int)
 // TopSlice is ScratchPool.TopSlice for the disk index.
 func (p *DiskScratchPool) TopSlice(keys []uint64, vals []float64, k int, skip graph.NodeID, lo, hi int) []TopEntry {
 	ss := p.source.Get().(*SourceScratch)
-	vec := p.vec.Get().(*[]float64)
-	res := p.d.meta.SingleSourceFrom(keys, vals, ss, *vec)
-	top := SelectTopRange(res, k, skip, lo, hi)
-	p.vec.Put(vec)
+	top := p.d.meta.topFrom(keys, vals, k, skip, lo, hi, ss)
 	p.source.Put(ss)
 	return top
 }

@@ -20,11 +20,18 @@ import (
 // steps, ρ^(ℓ)(j) is the step-ℓ slice of Equation (13) for every j at
 // once. Total cost O(m·log²(1/ε)) with ε worst-case error (Lemma 12).
 
-// SourceScratch holds the per-query buffers of SingleSource.
+// SourceScratch holds the per-query buffers of single-source queries.
 type SourceScratch struct {
 	q                 *Scratch
 	cur, next         []float64
 	curList, nextList []int32
+
+	// acc is the sparse accumulator of the top-k and slice paths. hits
+	// lists each node whose score went from 0 to nonzero during a
+	// propagation, so it has no duplicates and the accumulator is zero
+	// off it. acc is all-zero and hits empty between calls.
+	acc  []float64
+	hits []int32
 }
 
 // NewSourceScratch sizes a SourceScratch for the index's graph.
@@ -34,6 +41,7 @@ func (x *Index) NewSourceScratch() *SourceScratch {
 		q:    x.NewScratch(),
 		cur:  make([]float64, n),
 		next: make([]float64, n),
+		acc:  make([]float64, n),
 	}
 }
 
@@ -50,11 +58,11 @@ func (x *Index) SingleSource(u graph.NodeID, s *SourceScratch, out []float64) []
 
 // SingleSourceFrom runs the Algorithm 6 propagation from an already
 // gathered HP entry list instead of a node: the seeds are h values
-// (pre-correction; d̃ is applied here), sorted by key. It is the shared
-// step-group loop behind the in-memory and disk single-source paths, and
-// the shard-side half of scatter/gather single-source — propagation needs
-// only the graph, d̃, and the parameters, all of which every shard holds
-// in full, so a shard can propagate any node's fragment exactly.
+// (pre-correction; d̃ is applied here), sorted by key. It is the dense
+// form of the one propagation behind the in-memory and disk
+// single-source, top-k and shard paths: propagation needs only the
+// graph, d̃, and the parameters, all of which every shard holds in full,
+// so a shard can propagate any node's fragment exactly.
 func (x *Index) SingleSourceFrom(keys []uint64, vals []float64, s *SourceScratch, out []float64) []float64 {
 	if s == nil {
 		s = x.NewSourceScratch()
@@ -64,26 +72,80 @@ func (x *Index) SingleSourceFrom(keys []uint64, vals []float64, s *SourceScratch
 		out = make([]float64, n)
 	}
 	out = out[:n]
-	for i := range out {
-		out[i] = 0
+	clear(out)
+	x.propagate(keys, vals, s, out)
+	s.hits = s.hits[:0]
+	return out
+}
+
+// sliceFrom is SingleSourceFrom restricted to the nodes in [lo, hi),
+// returned as a fresh hi-lo vector: the shard-side half of
+// scatter/gather single-source.
+func (x *Index) sliceFrom(keys []uint64, vals []float64, lo, hi int, s *SourceScratch) []float64 {
+	out := make([]float64, hi-lo)
+	x.propagate(keys, vals, s, s.acc)
+	s.drain(out, lo)
+	return out
+}
+
+// topFrom propagates a gathered entry list and selects the k best nodes
+// of [lo, hi) other than skip, visiting only the nodes the propagation
+// touched: O(nnz log k) with no O(n) scan or clear.
+func (x *Index) topFrom(keys []uint64, vals []float64, k int, skip graph.NodeID, lo, hi int, s *SourceScratch) []TopEntry {
+	if k <= 0 || lo >= hi {
+		return nil
 	}
-	// Entries are sorted by (step, node); process one step-group at a
-	// time.
+	x.propagate(keys, vals, s, s.acc)
+	top := selectHits(s.acc, s.hits, k, skip, lo, hi)
+	s.drain(nil, 0)
+	return top
+}
+
+// sourceTop gathers u's entries and runs topFrom over the whole graph.
+func (x *Index) sourceTop(u graph.NodeID, k int, skip graph.NodeID, s *SourceScratch) []TopEntry {
+	if k <= 0 {
+		return nil
+	}
+	if s == nil {
+		s = x.NewSourceScratch()
+	}
+	keys, vals := x.gather(u, s.q, &s.q.ka, &s.q.va)
+	return x.topFrom(keys, vals, k, skip, 0, x.g.NumNodes(), s)
+}
+
+// propagate adds the Algorithm 6 scores of a gathered entry list into
+// acc, which must be all-zero, and lists the nodes it makes nonzero in
+// s.hits. Entries are sorted by (step, node), so it processes one
+// step-group at a time. The caller empties s.hits (and s.acc, with
+// drain, when that is the accumulator).
+func (x *Index) propagate(keys []uint64, vals []float64, s *SourceScratch, acc []float64) {
 	for lo := 0; lo < len(keys); {
 		l := keyStep(keys[lo])
 		hi := lo
 		for hi < len(keys) && keyStep(keys[hi]) == l {
 			hi++
 		}
-		x.propagateStep(keys[lo:hi], vals[lo:hi], l, s, out)
+		x.propagateStep(keys[lo:hi], vals[lo:hi], l, s, acc)
 		lo = hi
 	}
-	return out
+}
+
+// drain copies the accumulated score of every hit v in [lo, lo+len(out))
+// to out[v-lo] and zeroes s.acc at the hits, leaving s ready for the
+// next propagation.
+func (s *SourceScratch) drain(out []float64, lo int) {
+	for _, v := range s.hits {
+		if i := int(v) - lo; i >= 0 && i < len(out) {
+			out[i] = s.acc[v]
+		}
+		s.acc[v] = 0
+	}
+	s.hits = s.hits[:0]
 }
 
 // propagateStep seeds ρ^(0)(k) = h̃^(ℓ)(u,k)·d̃_k for one step group and
-// runs ℓ local-update steps, accumulating ρ^(ℓ) into out.
-func (x *Index) propagateStep(keys []uint64, vals []float64, l int, s *SourceScratch, out []float64) {
+// runs ℓ local-update steps, accumulating ρ^(ℓ) into acc.
+func (x *Index) propagateStep(keys []uint64, vals []float64, l int, s *SourceScratch, acc []float64) {
 	s.curList = s.curList[:0]
 	for i, key := range keys {
 		k := keyNode(key)
@@ -113,7 +175,10 @@ func (x *Index) propagateStep(keys []uint64, vals []float64, l int, s *SourceScr
 		s.curList, s.nextList = s.nextList, s.curList
 	}
 	for _, v := range s.curList {
-		out[v] += s.cur[v]
+		if acc[v] == 0 && s.cur[v] != 0 {
+			s.hits = append(s.hits, v)
+		}
+		acc[v] += s.cur[v]
 		s.cur[v] = 0
 	}
 }

@@ -1,19 +1,25 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"sling/internal/graph"
 )
 
-// Top-k selection over a single-source score vector.
+// Top-k selection over single-source scores.
 //
 // A similarity service overwhelmingly asks "who are the k most similar
 // nodes to u" for k ≪ n, so materializing and fully sorting an n-element
 // candidate list per query (O(n log n) time, O(n) garbage) is the wrong
-// shape. SelectTop keeps a size-k min-heap over the vector instead:
-// O(n log k) time, O(k) space, and the only allocation is the k-element
-// result the caller keeps.
+// shape. Every selection here keeps a min-heap of at most k entries
+// instead, and the only allocation is the result the caller keeps.
+//
+// The served top-k paths (TopK, SourceTop, TopSlice) go further: the
+// Algorithm 6 propagation lists the nodes it leaves nonzero (on average a
+// few percent of n), so the heap runs over that hit list alone and only
+// the hit entries are cleared afterwards — O(nnz log k) per query with no
+// O(n) scan or clear. SelectTop and SelectTopRange are the same selection
+// over a dense score vector.
 
 // TopEntry is one (node, score) result of a top-k selection.
 type TopEntry struct {
@@ -37,32 +43,7 @@ func (a TopEntry) WorseThan(b TopEntry) bool {
 // excluded (pass a negative skip to keep every node), as are entries with
 // non-positive score, so fewer than k entries may be returned.
 func SelectTop(scores []float64, k int, skip graph.NodeID) []TopEntry {
-	if k <= 0 {
-		return nil
-	}
-	if k > len(scores) {
-		k = len(scores)
-	}
-	h := make([]TopEntry, 0, k)
-	for v, sc := range scores {
-		if sc <= 0 || graph.NodeID(v) == skip {
-			continue
-		}
-		e := TopEntry{Node: graph.NodeID(v), Score: sc}
-		if len(h) < k {
-			h = append(h, e)
-			siftUp(h, len(h)-1)
-			continue
-		}
-		if !h[0].WorseThan(e) {
-			continue // e ranks behind the worst kept entry
-		}
-		h[0] = e
-		siftDown(h, 0)
-	}
-	// Heap-order is by "worst first"; the response wants best first.
-	sort.Slice(h, func(i, j int) bool { return h[j].WorseThan(h[i]) })
-	return h
+	return SelectTopRange(scores, k, skip, 0, len(scores))
 }
 
 // SelectTopRange is SelectTop restricted to the nodes in [lo, hi): the
@@ -75,28 +56,61 @@ func SelectTopRange(scores []float64, k int, skip graph.NodeID, lo, hi int) []To
 	if k <= 0 || lo >= hi {
 		return nil
 	}
-	if k > hi-lo {
-		k = hi - lo
-	}
-	h := make([]TopEntry, 0, k)
+	h := make([]TopEntry, 0, min(k, hi-lo))
 	for v := lo; v < hi; v++ {
 		sc := scores[v]
 		if sc <= 0 || graph.NodeID(v) == skip {
 			continue
 		}
-		e := TopEntry{Node: graph.NodeID(v), Score: sc}
-		if len(h) < k {
-			h = append(h, e)
-			siftUp(h, len(h)-1)
+		h = pushTop(h, k, TopEntry{Node: graph.NodeID(v), Score: sc})
+	}
+	return bestFirst(h)
+}
+
+// selectHits is SelectTopRange over the listed nodes of scores only; it
+// returns exactly what SelectTopRange would whenever scores is zero off
+// hits and hits has no duplicates.
+func selectHits(scores []float64, hits []int32, k int, skip graph.NodeID, lo, hi int) []TopEntry {
+	if k <= 0 || lo >= hi {
+		return nil
+	}
+	h := make([]TopEntry, 0, min(k, len(hits)))
+	for _, v := range hits {
+		sc := scores[v]
+		if int(v) < lo || int(v) >= hi || sc <= 0 || v == skip {
 			continue
 		}
-		if !h[0].WorseThan(e) {
-			continue
-		}
+		h = pushTop(h, k, TopEntry{Node: v, Score: sc})
+	}
+	return bestFirst(h)
+}
+
+// pushTop offers e to h, a min-heap (root = worst kept entry) of at most
+// k entries, and returns the updated heap.
+func pushTop(h []TopEntry, k int, e TopEntry) []TopEntry {
+	if len(h) < k {
+		h = append(h, e)
+		siftUp(h, len(h)-1)
+	} else if h[0].WorseThan(e) {
 		h[0] = e
 		siftDown(h, 0)
 	}
-	sort.Slice(h, func(i, j int) bool { return h[j].WorseThan(h[i]) })
+	return h
+}
+
+// bestFirst sorts a selection heap, kept worst first, into the
+// best-first order responses use. The order is total over distinct
+// nodes, so the result does not depend on the order entries were pushed.
+func bestFirst(h []TopEntry) []TopEntry {
+	slices.SortFunc(h, func(a, b TopEntry) int {
+		switch {
+		case b.WorseThan(a):
+			return -1
+		case a.WorseThan(b):
+			return 1
+		}
+		return 0
+	})
 	return h
 }
 
@@ -134,12 +148,8 @@ func siftDown(h []TopEntry, i int) {
 }
 
 // TopK returns the k nodes most similar to u (excluding u itself) in
-// descending score order, running one single-source query and a heap
-// selection over it. out is the score buffer to compute into (allocated
-// when it lacks capacity); a nil scratch allocates one.
-func (x *Index) TopK(u graph.NodeID, k int, s *SourceScratch, out []float64) []TopEntry {
-	if k <= 0 {
-		return nil
-	}
-	return SelectTop(x.SingleSource(u, s, out), k, u)
+// descending score order: one gather, one propagation, and a heap
+// selection over the touched nodes. A nil scratch allocates one.
+func (x *Index) TopK(u graph.NodeID, k int, s *SourceScratch) []TopEntry {
+	return x.sourceTop(u, k, u, s)
 }

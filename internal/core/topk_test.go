@@ -98,9 +98,8 @@ func TestIndexTopKMatchesReference(t *testing.T) {
 	g := randomGraph(80, 400, 9)
 	x := buildIndex(t, g, &Options{Eps: 0.08, Seed: 9})
 	ss := x.NewSourceScratch()
-	vec := make([]float64, g.NumNodes())
 	ref := x.SingleSource(5, nil, nil)
-	got := x.TopK(5, 7, ss, vec)
+	got := x.TopK(5, 7, ss)
 	if want := sortTop(ref, 7, 5); !equalTop(got, want) {
 		t.Fatalf("TopK %v, want %v", got, want)
 	}

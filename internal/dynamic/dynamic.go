@@ -639,7 +639,7 @@ func (d *Dynamic) TopK(u graph.NodeID, k int) []core.TopEntry {
 	w := d.acquire()
 	defer d.release(w.gen)
 	vec := w.gen.pool.Vector()
-	top := core.SelectTop(d.singleSource(w, u, vec), k, u)
+	top := core.SelectTop(d.singleSource(w, u, *vec), k, u)
 	w.gen.pool.PutVector(vec)
 	return top
 }
@@ -653,7 +653,7 @@ func (d *Dynamic) SourceTop(u graph.NodeID, limit int) []core.TopEntry {
 	w := d.acquire()
 	defer d.release(w.gen)
 	vec := w.gen.pool.Vector()
-	top := core.SelectTop(d.singleSource(w, u, vec), limit, -1)
+	top := core.SelectTop(d.singleSource(w, u, *vec), limit, -1)
 	w.gen.pool.PutVector(vec)
 	return top
 }

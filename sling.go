@@ -189,8 +189,9 @@ type Scored = core.TopEntry
 
 // TopK returns the k nodes most similar to u (excluding u itself) in
 // descending score order, breaking ties by node ID. Selection is a
-// size-k min-heap over one single-source evaluation — O(n log k), not a
-// full sort — and every buffer beyond the returned slice is pooled.
+// size-k min-heap over the nodes one single-source evaluation touched —
+// O(nnz log k), with no full sort and no O(n) scan — and every buffer
+// beyond the returned slice is pooled.
 // k <= 0 yields an empty result; k > NumNodes behaves like k = NumNodes.
 func (ix *Index) TopK(ctx context.Context, u NodeID, k int) ([]Scored, error) {
 	if err := core.CtxErr(ctx); err != nil {
