@@ -1,6 +1,6 @@
 // Benchmarks mirroring the paper's evaluation, one testing.B target per
-// table/figure series (see DESIGN.md's experiment index). They run on the
-// smaller dataset stand-ins so `go test -bench=.` terminates quickly; the
+// table/figure series (see README's "Measuring throughput"). They run on
+// the smaller dataset stand-ins so `go test -bench=.` terminates quickly; the
 // full sweeps live in cmd/slingbench.
 package sling
 

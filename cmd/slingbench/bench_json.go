@@ -192,7 +192,7 @@ func runCatalog() error {
 		Default: "mem",
 		Graphs: []catalog.GraphSpec{
 			{ID: "mem", Graph: edges, Eps: slingOpt.Eps, Seed: slingOpt.Seed},
-			{ID: "disk", Graph: edges, Mode: "disk", Index: slix, CacheBytes: 4 << 20},
+			{ID: "disk", Graph: edges, Mode: "disk", Index: slix},
 			{ID: "dyn", Graph: edges, Mode: "dynamic", Eps: slingOpt.Eps, Seed: slingOpt.Seed,
 				Walks: *dynWalksFlag},
 		},

@@ -26,7 +26,7 @@
 //	         top-k heap selection vs full sort (the serving engine's
 //	         hot paths; not a paper figure)
 //	diskqps  disk-resident (Section 5.4) single-pair QPS vs goroutine
-//	         count and entry-cache size, with cache hit rates (not a
+//	         count, positioned reads vs mmap, with allocs/op (not a
 //	         paper figure; bounds the -disk serving tier)
 //	dynamic  query QPS and staleness (affected-frontier size, pending
 //	         ops, epoch swaps) while edge updates stream in at each
@@ -51,8 +51,8 @@
 // The default "fast" preset uses ε=0.1 so the full sweep finishes on a
 // laptop; -preset paper switches to the paper's ε=0.025 (Section 7.1).
 // Accuracy experiments always run SLING at the paper's ε. Absolute times
-// differ from the paper's C++/16-core testbed; EXPERIMENTS.md records the
-// expected shapes.
+// differ from the paper's C++/16-core testbed; the comparison shapes are
+// what carries over (README, "Measuring throughput").
 package main
 
 import (
@@ -97,7 +97,6 @@ var (
 	buffersFlag  = flag.String("buffers", "1,4,16,64,all", "memory buffers in MiB for fig10 ('all' = in-memory)")
 	kvalsFlag    = flag.String("k", "400,800,1200,1600,2000", "k values for fig7")
 	mcCapFlag    = flag.Int64("mccap", 1<<30, "max MC index bytes before the dataset is skipped (paper: 64GB)")
-	cachesFlag   = flag.String("caches", "0,0.25,4", "diskqps entry-cache sizes in MiB (0 = uncached)")
 	diskOpsFlag  = flag.Int("diskops", 20000, "diskqps single-pair queries per cell")
 
 	updRatesFlag   = flag.String("update-rates", "0,200,2000", "dynamic: edge-update rates in ops/sec, one cell each")
@@ -467,7 +466,7 @@ func runAccuracy() error {
 	}
 	// Accuracy experiments follow the paper: SLING at ε=0.025; MC's walk
 	// count is capped by memory rather than theory (the theoretical count
-	// needs tens of GB even on the smallest graph — see EXPERIMENTS.md).
+	// needs tens of GB even on the smallest graph).
 	slingOpt := core.Options{Eps: 0.025}
 	kvals, err := parseInts(*kvalsFlag)
 	if err != nil {
@@ -620,7 +619,7 @@ func runThreads() error {
 		return err
 	}
 	fmt.Printf("== Figure 9: SLING preprocessing time vs worker count (preset %s) ==\n", *presetFlag)
-	fmt.Println("   note: speedup requires physical cores; see EXPERIMENTS.md for this host")
+	fmt.Println("   note: speedup requires physical cores")
 	w := newTab()
 	fmt.Fprintln(w, "dataset\tworkers\tpreprocessing")
 	for _, spec := range specs {
@@ -860,29 +859,26 @@ func runThroughput() error {
 
 // --------------------------------------------------------------- diskqps
 
-// diskQPSRow is one (dataset, backend, cache, workers) cell of the
-// diskqps experiment, written to BENCH_diskqps.json. Backend "readat"
-// is the positioned-read engine (one row group per -caches size);
-// "mmap" is the zero-copy mapped engine, where the OS page cache is
-// the only cache. AllocsPerOp is measured once per row group on a
-// warm single-worker pass; the mapped fetch path's contract is that it
-// stays at zero.
+// diskQPSRow is one (dataset, backend, workers) cell of the diskqps
+// experiment, written to BENCH_diskqps.json. Backend "readat" is the
+// positioned-read entry source; "mmap" is the zero-copy mapped one,
+// where the OS page cache is the only cache. AllocsPerOp is measured
+// once per backend on a warm single-worker pass; the mapped fetch
+// path's contract is that it stays at zero.
 type diskQPSRow struct {
 	Dataset     string  `json:"dataset"`
 	Backend     string  `json:"backend"`
-	CacheMiB    float64 `json:"cache_mib"`
 	Workers     int     `json:"workers"`
 	Queries     int     `json:"queries"`
 	QPS         float64 `json:"qps"`
 	Speedup     float64 `json:"speedup"`
-	HitRate     float64 `json:"hit_rate"` // -1 when no entry cache is live
 	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
 // allocsPerOp measures heap allocations per single-pair query on a warm
-// single-worker pass: the first run settles scratch-pool and cache
-// capacities, the second is bracketed by MemStats.Mallocs readings.
-func allocsPerOp(pool *core.DiskScratchPool, pairs []workload.Pair, ops int) (float64, error) {
+// single-worker pass: the first run settles scratch-pool capacities, the
+// second is bracketed by MemStats.Mallocs readings.
+func allocsPerOp(pool *core.ScratchPool, pairs []workload.Pair, ops int) (float64, error) {
 	warm := ops
 	if warm > 2048 {
 		warm = 2048
@@ -901,12 +897,11 @@ func allocsPerOp(pool *core.DiskScratchPool, pairs []workload.Pair, ops int) (fl
 
 // runDiskQPS measures the disk-resident serving tier (Section 5.4):
 // single-pair QPS as concurrent query goroutines scale, for the
-// positioned-read engine at each -caches entry-cache size and — where
-// the platform supports it — the zero-copy mmap engine. Before the
-// pooled engine existed, disk queries went through one global mutex,
-// so QPS was flat in goroutine count; this experiment is the evidence
-// that the pooled, cached path scales, and that the mapped path serves
-// without allocating.
+// positioned-read entry source and — where the platform supports it —
+// the zero-copy mmap one. Before the pooled engine existed, disk queries
+// went through one global mutex, so QPS was flat in goroutine count;
+// this experiment is the evidence that the pooled path scales, and that
+// the mapped path serves without allocating.
 func runDiskQPS() error {
 	def := []workload.Spec{}
 	for _, name := range []string{"GrQc", "Wiki-Vote"} {
@@ -928,33 +923,18 @@ func runDiskQPS() error {
 	if err != nil {
 		return err
 	}
-	var caches []float64
-	for _, c := range strings.Split(*cachesFlag, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(c), 64)
-		if err != nil {
-			return fmt.Errorf("bad cache size %q", c)
-		}
-		caches = append(caches, v)
-	}
-	type qpsCfg struct {
-		backend  string
-		cacheMiB float64
-	}
-	var cfgs []qpsCfg
-	for _, mib := range caches {
-		cfgs = append(cfgs, qpsCfg{"readat", mib})
-	}
+	backends := []string{"readat"}
 	if core.MmapSupported() {
-		cfgs = append(cfgs, qpsCfg{"mmap", 0})
+		backends = append(backends, "mmap")
 	} else {
 		fmt.Println("   (mmap backend skipped: unsupported on this platform)")
 	}
-	fmt.Printf("== Disk QPS: disk-resident single-pair queries vs goroutines, cache, and engine (preset %s, scale %g) ==\n",
+	fmt.Printf("== Disk QPS: disk-resident single-pair queries vs goroutines and entry source (preset %s, scale %g) ==\n",
 		*presetFlag, *scaleFlag)
-	fmt.Println("   (cache rows are pre-warmed; speedup is relative to the first -threads entry of the same row group)")
+	fmt.Println("   (speedup is relative to the first -threads entry of the same backend)")
 	var rows []diskQPSRow
 	w := newTab()
-	fmt.Fprintln(w, "dataset\tbackend\tcache\tworkers\tqueries\ttotal\tqueries/s\tspeedup\thit rate\tallocs/op")
+	fmt.Fprintln(w, "dataset\tbackend\tworkers\tqueries\ttotal\tqueries/s\tspeedup\tallocs/op")
 	for _, spec := range specs {
 		g := spec.Generate(*scaleFlag)
 		ix, err := core.Build(g, &slingOpt)
@@ -971,9 +951,9 @@ func runDiskQPS() error {
 			return err
 		}
 		pairs := workload.RandomPairs(g, 4096, *seedFlag+17)
-		for _, cfg := range cfgs {
+		for _, backend := range backends {
 			var d *core.DiskIndex
-			if cfg.backend == "mmap" {
+			if backend == "mmap" {
 				d, err = core.OpenDiskIndexMmap(path, g)
 			} else {
 				d, err = core.OpenDiskIndex(path, g)
@@ -982,22 +962,7 @@ func runDiskQPS() error {
 				os.RemoveAll(dir)
 				return err
 			}
-			cacheBytes := int64(cfg.cacheMiB * (1 << 20))
-			if cacheBytes > 0 {
-				d.EnableCache(cacheBytes)
-			}
 			pool := d.NewScratchPool()
-			// Warm the cache over the full query set before any timed
-			// cell, so every thread count measures the same steady state
-			// and the speedup column reflects concurrency, not the first
-			// cell paying the cold misses for the later ones.
-			if cacheBytes > 0 {
-				if _, _, err := diskPairRun(pool, pairs, len(pairs), 1); err != nil {
-					d.Close()
-					os.RemoveAll(dir)
-					return err
-				}
-			}
 			apo, err := allocsPerOp(pool, pairs, *diskOpsFlag)
 			if err != nil {
 				d.Close()
@@ -1006,43 +971,26 @@ func runDiskQPS() error {
 			}
 			var serial time.Duration
 			for _, th := range threads {
-				before := d.CacheStats()
 				total, elapsed, err := diskPairRun(pool, pairs, *diskOpsFlag, th)
 				if err != nil {
 					d.Close()
 					os.RemoveAll(dir)
 					return err
 				}
-				after := d.CacheStats()
 				if th == threads[0] {
 					serial = elapsed
 				}
-				hit := "-"
-				hitRate := -1.0
-				if looked := (after.Hits - before.Hits) + (after.Misses - before.Misses); looked > 0 {
-					hitRate = float64(after.Hits-before.Hits) / float64(looked)
-					hit = fmt.Sprintf("%.0f%%", 100*hitRate)
-				}
-				cacheCol := "off"
-				if cacheBytes > 0 {
-					cacheCol = humanize.Bytes(cacheBytes)
-				}
-				if cfg.backend == "mmap" {
-					cacheCol = "page"
-				}
-				fmt.Fprintf(w, "%s\t%s\t%s\t%d\t%d\t%s\t%.0f\t%.2fx\t%s\t%.3f\n",
-					spec.Name, cfg.backend, cacheCol, th, total, fmtDur(elapsed),
-					float64(total)/elapsed.Seconds(), float64(serial)/float64(elapsed), hit, apo)
+				fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%s\t%.0f\t%.2fx\t%.3f\n",
+					spec.Name, backend, th, total, fmtDur(elapsed),
+					float64(total)/elapsed.Seconds(), float64(serial)/float64(elapsed), apo)
 				w.Flush()
 				rows = append(rows, diskQPSRow{
 					Dataset:     spec.Name,
-					Backend:     cfg.backend,
-					CacheMiB:    cfg.cacheMiB,
+					Backend:     backend,
 					Workers:     th,
 					Queries:     total,
 					QPS:         float64(total) / elapsed.Seconds(),
 					Speedup:     float64(serial) / float64(elapsed),
-					HitRate:     hitRate,
 					AllocsPerOp: apo,
 				})
 			}
@@ -1237,7 +1185,7 @@ func runQuerier() error {
 			os.RemoveAll(dir)
 			return err
 		}
-		di, err := sling.OpenDiskWithOptions(path, g, &sling.DiskOptions{CacheBytes: 4 << 20, Workers: 4})
+		di, err := sling.OpenDiskWithOptions(path, g, &sling.DiskOptions{Workers: 4})
 		if err != nil {
 			os.RemoveAll(dir)
 			return err
@@ -1313,7 +1261,7 @@ func runQuerier() error {
 // diskPairRun fires count single-pair disk queries across workers
 // goroutines pulling from a shared atomic counter, and returns how many
 // ran and the wall time.
-func diskPairRun(pool *core.DiskScratchPool, pairs []workload.Pair, count, workers int) (int, time.Duration, error) {
+func diskPairRun(pool *core.ScratchPool, pairs []workload.Pair, count, workers int) (int, time.Duration, error) {
 	if workers < 1 {
 		workers = 1
 	}

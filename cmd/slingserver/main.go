@@ -3,19 +3,18 @@
 // at startup.
 //
 //	slingserver -graph g.txt [-undirected] [-index idx.sling] [-eps 0.025] [-addr :8080] [-batch-workers N]
-//	slingserver -graph g.txt -index idx.sling -disk [-mmap] [-cache-bytes N]
+//	slingserver -graph g.txt -index idx.sling -disk [-mmap]
 //	slingserver -graph g.txt -dynamic [-rebuild-threshold N] [-dyn-walks N] [-dyn-depth N] [-durable DIR]
 //	slingserver -catalog manifest.json [-addr :8080]
 //	slingserver -shards manifest.json [-addr :8080]
 //
 // With -disk the index file stays on disk (Section 5.4): only O(n)
-// metadata is memory-resident, queries fetch HP entries with concurrent
-// positioned reads over pooled scratch, and -cache-bytes bounds a
-// sharded LRU cache of decoded entries so hot nodes skip I/O. Adding
-// -mmap memory-maps the index instead and serves the entries as
-// zero-copy typed views — no read syscalls, no decode, the OS page
-// cache is the only cache (-cache-bytes is then ignored); on platforms
-// without mmap support it falls back to positioned reads and says so.
+// metadata is memory-resident and queries fetch HP entries with
+// concurrent positioned reads over pooled scratch. Adding -mmap
+// memory-maps the index instead and serves the entries as zero-copy
+// typed views — no read syscalls, no decode, the OS page cache is the
+// only cache; on platforms without mmap support it falls back to
+// positioned reads and says so.
 //
 // With -dynamic the graph accepts edge updates while serving: POST
 // /update applies add/remove operations, queries touching updated
@@ -86,7 +85,6 @@ func main() {
 	maxBatchOps := flag.Int("max-batch-ops", 0, "max ops per /batch request (default 4096)")
 	disk := flag.Bool("disk", false, "serve disk-resident from -index: only O(n) metadata in memory")
 	useMmap := flag.Bool("mmap", false, "with -disk: memory-map the index and serve zero-copy (falls back to positioned reads where unsupported)")
-	cacheBytes := flag.Int64("cache-bytes", 0, "entry-cache budget for -disk mode (0 = no cache; ignored with -mmap)")
 	dynamic := flag.Bool("dynamic", false, "accept edge updates while serving (POST /update, /rebuild)")
 	rebuildThreshold := flag.Int("rebuild-threshold", 0, "applied update ops that trigger a background rebuild (0 = manual)")
 	dynWalks := flag.Int("dyn-walks", 4096, "MC walks per affected-node estimate in -dynamic mode (0 = derive the guaranteed count)")
@@ -223,7 +221,7 @@ func main() {
 			log.Fatalf("creating server: %v", err)
 		}
 	} else if *disk {
-		di, err := sling.OpenDiskWithOptions(*indexPath, g, &sling.DiskOptions{CacheBytes: *cacheBytes, Mmap: *useMmap})
+		di, err := sling.OpenDiskWithOptions(*indexPath, g, &sling.DiskOptions{Mmap: *useMmap})
 		if err != nil {
 			log.Fatalf("opening disk index: %v", err)
 		}
@@ -234,9 +232,9 @@ func main() {
 		} else if *useMmap {
 			mode = "positioned reads (mmap unsupported here; fell back)"
 		}
-		log.Printf("disk index %s: %d entries on disk, %s resident, %s, cache budget %d bytes",
-			*indexPath, di.NumEntries(), humanize.Bytes(di.Bytes()), mode, *cacheBytes)
-		handler, err = server.NewDisk(di, labels, cfg)
+		log.Printf("disk index %s: %d entries on disk, %s resident, %s",
+			*indexPath, di.NumEntries(), humanize.Bytes(di.Bytes()), mode)
+		handler, err = server.NewQuerier(di, labels, cfg)
 		if err != nil {
 			log.Fatalf("creating server: %v", err)
 		}
@@ -257,7 +255,7 @@ func main() {
 			log.Printf("index built in %v (%d entries, error bound %.4g)",
 				time.Since(start).Round(time.Millisecond), ix.Stats().Entries, ix.ErrorBound())
 		}
-		handler, err = server.NewWithConfig(ix, labels, cfg)
+		handler, err = server.NewQuerier(ix, labels, cfg)
 		if err != nil {
 			log.Fatalf("creating server: %v", err)
 		}

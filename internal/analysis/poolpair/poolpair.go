@@ -1,8 +1,9 @@
 // Package poolpair flags pool Gets whose Put can be skipped by an
 // early return.
 //
-// Invariant: query scratch comes from sync.Pools (core.ScratchPool,
-// core.DiskScratchPool, the dynamic layer's estimator pool) so that
+// Invariant: query scratch comes from sync.Pools (core.ScratchPool, the
+// serving engine of both the in-memory and the disk-resident index, and
+// the dynamic layer's estimator pool) so that
 // serving runs at arbitrary concurrency without per-call allocation.
 // A Get without a guaranteed Put does not crash — sync.Pool tolerates
 // losses — but it silently re-allocates scratch on exactly the paths
@@ -220,7 +221,7 @@ func poolReceiver(t types.Type, method string) bool {
 	switch {
 	case pkg == "sync" && obj.Name() == "Pool":
 		return method == "Get" || method == "Put"
-	case obj.Name() == "ScratchPool" || obj.Name() == "DiskScratchPool":
+	case obj.Name() == "ScratchPool":
 		return method != "Get" && method != "Put"
 	}
 	return false

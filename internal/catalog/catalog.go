@@ -298,9 +298,7 @@ func (e *entry) open() (sling.Querier, *sling.DynamicIndex, []int64, error) {
 		}
 		return ix, nil, labels, nil
 	case "disk":
-		di, err := sling.OpenDiskWithOptions(spec.Index, g, &sling.DiskOptions{
-			CacheBytes: spec.CacheBytes, Workers: spec.Workers, Mmap: spec.Mmap,
-		})
+		di, err := sling.OpenDiskWithOptions(spec.Index, g, &sling.DiskOptions{Workers: spec.Workers, Mmap: spec.Mmap})
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("catalog: graph %q: %w", spec.ID, err)
 		}

@@ -31,9 +31,6 @@ type GraphSpec struct {
 	Seed    uint64  `json:"seed,omitempty"`
 	Workers int     `json:"workers,omitempty"`
 
-	// CacheBytes bounds the disk-mode entry cache (0 = no cache).
-	// Ignored when Mmap maps the index.
-	CacheBytes int64 `json:"cache_bytes,omitempty"`
 	// Mmap serves a disk-mode index from a zero-copy memory mapping
 	// instead of positioned reads, falling back silently where the
 	// platform cannot map. Requires disk mode.

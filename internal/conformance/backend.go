@@ -219,7 +219,7 @@ func NewStaticSet(g *sling.Graph, opt *sling.Options, dir string, withHTTP bool)
 		return nil, fmt.Errorf("conformance: saving SLIX: %w", err)
 	}
 	di, ms, err := timed(func() (*sling.DiskIndex, error) {
-		return sling.OpenDiskWithOptions(path, g, &sling.DiskOptions{CacheBytes: 1 << 16})
+		return sling.OpenDisk(path, g)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("conformance: opening disk index: %w", err)
@@ -228,8 +228,8 @@ func NewStaticSet(g *sling.Graph, opt *sling.Options, dir string, withHTTP bool)
 	set.Others = append(set.Others, NamedBackend(di, "disk"))
 	set.BuildMS["disk"] = ms
 
-	// The zero-copy mapped mode shares the ReadAt index's file and query
-	// code, so its cell asserts bitwise equality of the whole matrix
+	// The zero-copy mapped mode shares the ReadAt index's file and serving
+	// engine, so its cell asserts bitwise equality of the whole matrix
 	// against every other backend. Platforms without mmap (or with
 	// big-endian byte order) skip the cell — the facade would silently
 	// fall back and the cell would duplicate "disk".
@@ -275,12 +275,12 @@ func NewStaticSet(g *sling.Graph, opt *sling.Options, dir string, withHTTP bool)
 
 	if withHTTP {
 		n := g.NumNodes()
-		memSrv, err := sserver(server.New(ix, nil))
+		memSrv, err := sserver(server.NewQuerier(ix, nil, server.Config{}))
 		if err != nil {
 			return nil, fmt.Errorf("conformance: memory server: %w", err)
 		}
 		set.Others = append(set.Others, NewHTTPBackend("http-memory", memSrv, n, false))
-		diskSrv, err := sserver(server.NewDisk(di, nil, server.Config{}))
+		diskSrv, err := sserver(server.NewQuerier(di, nil, server.Config{}))
 		if err != nil {
 			return nil, fmt.Errorf("conformance: disk server: %w", err)
 		}
@@ -293,7 +293,7 @@ func NewStaticSet(g *sling.Graph, opt *sling.Options, dir string, withHTTP bool)
 			var clients []shard.Client
 			for i, r := range shard.Plan(ix.EntryBytes(), conformanceShards) {
 				sx := ix.Shard(r[0], r[1])
-				srv, err := sserver(server.New(sx, nil))
+				srv, err := sserver(server.NewQuerier(sx, nil, server.Config{}))
 				if err != nil {
 					return nil, fmt.Errorf("shard server %d: %w", i, err)
 				}

@@ -72,7 +72,7 @@ func catalogSet(t *testing.T) (srv *server.Server, http map[string]Backend, refs
 		Default: "mem",
 		Graphs: []catalog.GraphSpec{
 			{ID: "mem", Graph: filepath.Join(dir, "mem.txt"), Eps: 0.1, Seed: 41},
-			{ID: "disk", Graph: filepath.Join(dir, "disk.txt"), Mode: "disk", Index: slix, CacheBytes: 1 << 16},
+			{ID: "disk", Graph: filepath.Join(dir, "disk.txt"), Mode: "disk", Index: slix},
 			{ID: "dyn", Graph: filepath.Join(dir, "dyn.txt"), Mode: "dynamic", Eps: 0.12, Seed: 47, Walks: 32},
 		},
 	}
@@ -95,7 +95,7 @@ func catalogSet(t *testing.T) (srv *server.Server, http map[string]Backend, refs
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs["disk"], err = sling.OpenDiskWithOptions(slix, gDisk, &sling.DiskOptions{CacheBytes: 1 << 16})
+	refs["disk"], err = sling.OpenDisk(slix, gDisk)
 	if err != nil {
 		t.Fatal(err)
 	}

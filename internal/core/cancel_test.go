@@ -90,20 +90,21 @@ func TestDiskBatchLateCancelCompletes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
+	p := d.NewScratchPool()
 	us := []graph.NodeID{4, 11}
-	want, err := d.SingleSourceBatch(nil, us, 1)
+	want, err := p.SingleSourceBatch(nil, us, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ctx := &countedErrCtx{failAfter: int64(len(us))}
-	got, err := d.SingleSourceBatch(ctx, us, 2)
+	got, err := p.SingleSourceBatch(ctx, us, 2)
 	if err != nil {
 		t.Fatalf("late cancel discarded a completed batch: %v", err)
 	}
 	assertRowsEqual(t, got, want)
 
-	if _, err := d.SingleSourceBatch(&countedErrCtx{failAfter: 0}, us, 2); !errors.Is(err, context.Canceled) {
+	if _, err := p.SingleSourceBatch(&countedErrCtx{failAfter: 0}, us, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("early cancel returned %v, want context.Canceled", err)
 	}
 }

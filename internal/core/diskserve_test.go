@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 
@@ -25,100 +26,24 @@ func saveTestIndex(t *testing.T, g *graph.Graph, o *Options) (*Index, string) {
 	return x, path
 }
 
-func TestEntryCacheLRU(t *testing.T) {
-	// One entry costs 16*100 + overhead = 1696 bytes; pick a per-shard
-	// budget (above the minShardBytes floor) that fits three entries but
-	// not four, so the fourth insert must evict.
-	keys := make([]uint64, 100)
-	vals := make([]float64, 100)
-	for i := range keys {
-		keys[i] = uint64(i + 1)
-		vals[i] = float64(i) / 10
-	}
-	per := int64(16*len(keys) + cacheEntryOverhead)
-	budget := per*3 + per/2 // three fit, four do not
-	if budget < minShardBytes {
-		t.Fatalf("test budget %d below shard floor; grow the entries", budget)
-	}
-	c := NewEntryCache(budget * cacheShardCount)
-	if c == nil {
-		t.Fatal("cache unexpectedly disabled")
-	}
-	// All in shard 0 (multiples of cacheShardCount) so eviction is forced.
-	ids := []int32{0, 16, 32, 48}
-	for _, id := range ids[:3] {
-		c.Put(id, keys, vals)
-	}
-	if _, _, ok := c.Get(0); !ok {
-		t.Fatal("freshly cached node missing")
-	}
-	// 0 is now most recent; inserting a fourth entry must evict 16.
-	c.Put(ids[3], keys, vals)
-	if _, _, ok := c.Get(16); ok {
-		t.Fatal("LRU entry not evicted")
-	}
-	if _, _, ok := c.Get(0); !ok {
-		t.Fatal("recently used entry evicted instead of LRU")
-	}
-	st := c.Stats()
-	if st.Entries != 3 {
-		t.Fatalf("entries = %d, want 3", st.Entries)
-	}
-	if st.Hits < 2 || st.Misses < 1 {
-		t.Fatalf("stats not counting: %+v", st)
-	}
-	if st.Bytes != 3*per {
-		t.Fatalf("bytes = %d, want %d", st.Bytes, 3*per)
-	}
-	// The cached copy must not alias the caller's slices.
-	k, _, ok := c.Get(0)
-	if !ok {
-		t.Fatal("entry vanished")
-	}
-	keys[0] = 999
-	if k[0] == 999 {
-		t.Fatal("cache aliases caller buffers")
-	}
-}
-
-func TestEntryCacheBudgetEdgeCases(t *testing.T) {
-	if c := NewEntryCache(0); c != nil {
-		t.Fatal("zero-budget cache not disabled")
-	}
-	if c := NewEntryCache(-1); c != nil {
-		t.Fatal("negative-budget cache not disabled")
-	}
-	// A tiny positive budget must yield a working (floored) cache, not a
-	// silent no-op.
-	c := NewEntryCache(10)
-	if c == nil {
-		t.Fatal("tiny positive budget silently disabled the cache")
-	}
-	if st := c.Stats(); st.MaxBytes < cacheShardCount*minShardBytes {
-		t.Fatalf("floored budget %d below minimum", st.MaxBytes)
-	}
-	c.Put(3, []uint64{1}, []float64{0.5})
-	if _, _, ok := c.Get(3); !ok {
-		t.Fatal("floored cache does not cache")
-	}
-	var nilCache *EntryCache
-	if st := nilCache.Stats(); st != (CacheStats{}) {
-		t.Fatal("nil cache stats not zero")
-	}
-}
-
-// Disk answers — single-pair, single-source, top-k, source-top, batch —
-// must be byte-identical to the in-memory index, cached or not.
+// Disk answers — single-pair, single-source, top-k, source-top,
+// fragment, batch — must be byte-identical to the in-memory index, over
+// positioned reads and over a mapping.
 func TestDiskServeMatchesMemory(t *testing.T) {
 	g := randomGraph(60, 360, 31)
 	x, path := saveTestIndex(t, g, &Options{Eps: 0.08, Seed: 31, Enhance: true})
-	for _, cacheBytes := range []int64{0, 1 << 20} {
-		d, err := OpenDiskIndex(path, g)
+	modes := []string{"readat"}
+	if MmapSupported() {
+		modes = append(modes, "mmap")
+	}
+	for _, mode := range modes {
+		open := OpenDiskIndex
+		if mode == "mmap" {
+			open = OpenDiskIndexMmap
+		}
+		d, err := open(path, g)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if cacheBytes > 0 {
-			d.EnableCache(cacheBytes)
 		}
 		pool := d.NewScratchPool()
 		ss := x.NewSourceScratch()
@@ -129,7 +54,7 @@ func TestDiskServeMatchesMemory(t *testing.T) {
 					t.Fatal(err)
 				}
 				if want := x.SimRank(u, v, nil); got != want {
-					t.Fatalf("cache=%d: disk s(%d,%d)=%v, memory %v", cacheBytes, u, v, got, want)
+					t.Fatalf("%s: disk s(%d,%d)=%v, memory %v", mode, u, v, got, want)
 				}
 			}
 			wantVec := x.SingleSource(u, ss, nil)
@@ -139,7 +64,7 @@ func TestDiskServeMatchesMemory(t *testing.T) {
 			}
 			for v := range wantVec {
 				if gotVec[v] != wantVec[v] {
-					t.Fatalf("cache=%d: disk single-source differs at %d", cacheBytes, v)
+					t.Fatalf("%s: disk single-source differs at %d", mode, v)
 				}
 			}
 			gotTop, err := pool.TopK(u, 7)
@@ -168,10 +93,18 @@ func TestDiskServeMatchesMemory(t *testing.T) {
 					t.Fatalf("SourceTop entry %d differs", i)
 				}
 			}
+			gotK, gotV, gotD, err := pool.Fragment(u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantK, wantV, wantD := x.FragmentOf(u, nil)
+			if !slices.Equal(gotK, wantK) || !slices.Equal(gotV, wantV) || !slices.Equal(gotD, wantD) {
+				t.Fatalf("%s: Fragment(%d) differs", mode, u)
+			}
 		}
 		us := []graph.NodeID{3, 1, 4, 1, 5, 9, 2, 6}
 		for _, workers := range []int{1, 4} {
-			rows, err := d.SingleSourceBatch(nil, us, workers)
+			rows, err := pool.SingleSourceBatch(nil, us, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,51 +121,6 @@ func TestDiskServeMatchesMemory(t *testing.T) {
 	}
 }
 
-// Cached answers must equal uncached answers, and re-queries must hit.
-func TestDiskCacheHitEquivalence(t *testing.T) {
-	g := randomGraph(50, 300, 33)
-	_, path := saveTestIndex(t, g, &Options{Eps: 0.08, Seed: 33})
-	plain, err := OpenDiskIndex(path, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	cached, err := OpenDiskIndex(path, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cached.Close()
-	cached.EnableCache(4 << 20)
-	ps, cs := plain.NewScratchPool(), cached.NewScratchPool()
-	for pass := 0; pass < 2; pass++ {
-		for u := graph.NodeID(0); u < 50; u += 3 {
-			for v := graph.NodeID(0); v < 50; v += 7 {
-				want, err := ps.SimRank(u, v)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := cs.SimRank(u, v)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Fatalf("pass %d: cached s(%d,%d)=%v, uncached %v", pass, u, v, got, want)
-				}
-			}
-		}
-	}
-	st := cached.CacheStats()
-	if st.Hits == 0 {
-		t.Fatalf("no cache hits after repeated queries: %+v", st)
-	}
-	if st.Entries == 0 || st.Bytes == 0 {
-		t.Fatalf("cache empty after queries: %+v", st)
-	}
-	if plainSt := plain.CacheStats(); plainSt != (CacheStats{}) {
-		t.Fatalf("uncached index reports cache activity: %+v", plainSt)
-	}
-}
-
 // Concurrent mixed queries through one shared pool must match memory
 // exactly (run under -race in CI).
 func TestDiskScratchPoolConcurrent(t *testing.T) {
@@ -243,7 +131,6 @@ func TestDiskScratchPoolConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	d.EnableCache(1 << 20)
 	pool := d.NewScratchPool()
 	ss := x.NewSourceScratch()
 	wantPair := x.SimRank(3, 9, nil)

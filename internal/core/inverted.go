@@ -127,14 +127,14 @@ func (iv *Inverted) SingleSource(u graph.NodeID, s *Scratch, out []float64) []fl
 	stored, storedVals := x.EntriesOf(u)
 	keys, vals := stored, storedVals
 	if x.reduced[u] {
-		k2, v2 := s.ka[:0], s.va[:0]
+		k2, v2 := s.gk[0][:0], s.gv[0][:0]
 		cut := findStep(stored, 1)
 		k2 = append(k2, stored[:cut]...)
 		v2 = append(v2, storedVals[:cut]...)
 		k2, v2 = x.appendExactSteps12(u, s, k2, v2)
 		k2 = append(k2, stored[cut:]...)
 		v2 = append(v2, storedVals[cut:]...)
-		s.ka, s.va = k2, v2
+		s.gk[0], s.gv[0] = k2, v2
 		keys, vals = k2, v2
 	}
 	for i, key := range keys {

@@ -1,29 +1,68 @@
 package core
 
 import (
+	"context"
 	"sync"
 
 	"sling/internal/graph"
 )
 
-// ScratchPool hands out the per-goroutine query buffers (Scratch,
-// SourceScratch, n-length score vectors) from sync.Pools, so a serving
-// layer can run queries at arbitrary concurrency without allocating
-// scratch per call. All buffers are sized for the pool's index; a buffer
+// The serving engine.
+//
+// The paper's disk-resident mode (Section 5.4) changes only where a
+// node's H(v) comes from; Algorithms 3, 5 and 6 run unchanged on the
+// fetched entries. So every served query family — single-pair,
+// single-source, top-k and source-top, fragment, and batch — is composed
+// once here, in ScratchPool, over an entry source: the in-memory index's
+// own arrays, the zero-copy views of a mapped file, or two positioned
+// reads. Disk answers are therefore bitwise-identical to memory
+// answers, and ReadAt I/O errors are the only errors a query can return.
+
+// entrySource fetches node v's stored HP entries. slot (0 or 1) names
+// the scratch buffers a positioned read decodes into, so the two
+// endpoints of a pair stay live at once. The result is read-only.
+type entrySource interface {
+	entries(v graph.NodeID, s *Scratch, slot int) ([]uint64, []float64, error)
+}
+
+// entries implements entrySource over the resident arrays; it never
+// fails.
+func (x *Index) entries(v graph.NodeID, _ *Scratch, _ int) ([]uint64, []float64, error) {
+	keys, vals := x.EntriesOf(v)
+	return keys, vals, nil
+}
+
+// gatherAt is gather over the entries src fetches into slot: the one
+// fetch site of every served query.
+func (x *Index) gatherAt(src entrySource, v graph.NodeID, s *Scratch, slot int) ([]uint64, []float64, error) {
+	stored, storedVals, err := src.entries(v, s, slot)
+	if err != nil {
+		return nil, nil, err
+	}
+	keys, vals := x.gatherFrom(v, stored, storedVals, s, &s.gk[slot], &s.gv[slot])
+	return keys, vals, nil
+}
+
+// ScratchPool is the serving engine of an in-memory or disk-resident
+// index: it answers every query family over the index's entry source
+// with per-goroutine query buffers (Scratch, SourceScratch, n-length
+// score vectors) from sync.Pools, so a serving layer can run queries at
+// arbitrary concurrency without allocating scratch per call and without
+// any global lock. All buffers are sized for the pool's index; a buffer
 // returned with Put may be handed to any later Get on any goroutine.
 //
-// The pool only manages buffer lifetime — queries through it are exactly
-// as deterministic as the underlying Index methods.
+// Answers through the pool are exactly those of the resident Index
+// methods on the same entries.
 type ScratchPool struct {
-	x       *Index
+	x       *Index // graph, parameters, d̃, and offsets
+	src     entrySource
 	scratch sync.Pool // *Scratch
 	source  sync.Pool // *SourceScratch
 	vec     sync.Pool // *[]float64, len = NumNodes
 }
 
-// NewScratchPool returns a pool of query scratch for the index.
-func (x *Index) NewScratchPool() *ScratchPool {
-	p := &ScratchPool{x: x}
+func newScratchPool(x *Index, src entrySource) *ScratchPool {
+	p := &ScratchPool{x: x, src: src}
 	p.scratch.New = func() interface{} { return x.NewScratch() }
 	p.source.New = func() interface{} { return x.NewSourceScratch() }
 	p.vec.New = func() interface{} {
@@ -32,6 +71,14 @@ func (x *Index) NewScratchPool() *ScratchPool {
 	}
 	return p
 }
+
+// NewScratchPool returns the serving engine over the index's resident
+// entries.
+func (x *Index) NewScratchPool() *ScratchPool { return newScratchPool(x, x) }
+
+// NewScratchPool returns the serving engine over the disk index's
+// entries: mapped views, or positioned reads.
+func (d *DiskIndex) NewScratchPool() *ScratchPool { return newScratchPool(d.meta, d) }
 
 // Scratch gets a single-pair scratch; return it with PutScratch.
 func (p *ScratchPool) Scratch() *Scratch { return p.scratch.Get().(*Scratch) }
@@ -53,43 +100,86 @@ func (p *ScratchPool) Vector() *[]float64 { return p.vec.Get().(*[]float64) }
 // PutVector returns a buffer obtained from Vector.
 func (p *ScratchPool) PutVector(v *[]float64) { p.vec.Put(v) }
 
-// SimRank is Index.SimRank with pooled scratch.
-func (p *ScratchPool) SimRank(u, v graph.NodeID) float64 {
+// SimRank answers a single-pair query (Algorithm 3) with pooled scratch.
+func (p *ScratchPool) SimRank(u, v graph.NodeID) (float64, error) {
 	s := p.Scratch()
-	score := p.x.SimRank(u, v, s)
+	score, err := p.simRank(u, v, s)
 	p.PutScratch(s)
-	return score
+	return score, err
 }
 
-// SingleSource is Index.SingleSource with pooled scratch, writing into
-// out when it has capacity.
-func (p *ScratchPool) SingleSource(u graph.NodeID, out []float64) []float64 {
+func (p *ScratchPool) simRank(u, v graph.NodeID, s *Scratch) (float64, error) {
+	ku, vu, err := p.x.gatherAt(p.src, u, s, 0)
+	if err != nil {
+		return 0, err
+	}
+	kv, vv, err := p.x.gatherAt(p.src, v, s, 1)
+	if err != nil {
+		return 0, err
+	}
+	return joinScore(ku, vu, kv, vv, p.x.d), nil
+}
+
+// SingleSource answers a single-source query (Algorithm 6) with pooled
+// scratch, writing into out when it has capacity.
+func (p *ScratchPool) SingleSource(u graph.NodeID, out []float64) ([]float64, error) {
 	s := p.Source()
-	res := p.x.SingleSource(u, s, out)
+	out, err := p.singleSource(u, s, out)
 	p.PutSource(s)
-	return res
+	return out, err
 }
 
-// TopK is Index.TopK with pooled scratch; only the result is allocated.
-func (p *ScratchPool) TopK(u graph.NodeID, k int) []TopEntry {
+func (p *ScratchPool) singleSource(u graph.NodeID, s *SourceScratch, out []float64) ([]float64, error) {
+	keys, vals, err := p.x.gatherAt(p.src, u, s.q, 0)
+	if err != nil {
+		return nil, err
+	}
+	return p.x.SingleSourceFrom(keys, vals, s, out), nil
+}
+
+// TopK returns the k nodes most similar to u (excluding u itself) in
+// descending score order, ties broken by ascending node ID, from one
+// fetch, one propagation, and a heap selection over the touched nodes.
+// Only the result is allocated.
+func (p *ScratchPool) TopK(u graph.NodeID, k int) ([]TopEntry, error) {
+	return p.top(u, k, u)
+}
+
+// SourceTop returns the limit highest-scoring nodes of a single-source
+// query from u (u itself included, unlike TopK), in the same order.
+func (p *ScratchPool) SourceTop(u graph.NodeID, limit int) ([]TopEntry, error) {
+	return p.top(u, limit, -1)
+}
+
+func (p *ScratchPool) top(u graph.NodeID, k int, skip graph.NodeID) ([]TopEntry, error) {
 	if k <= 0 {
-		return nil
+		return nil, nil
 	}
 	s := p.Source()
-	top := p.x.TopK(u, k, s)
+	keys, vals, err := p.x.gatherAt(p.src, u, s.q, 0)
+	var top []TopEntry
+	if err == nil {
+		top = p.x.topFrom(keys, vals, k, skip, 0, p.x.g.NumNodes(), s)
+	}
 	p.PutSource(s)
-	return top
+	return top, err
 }
 
-// SourceTop returns the limit highest-scoring nodes of a pooled
-// single-source query from u (u itself included, unlike TopK), in
-// descending score order with ties broken by ascending node ID.
-func (p *ScratchPool) SourceTop(u graph.NodeID, limit int) []TopEntry {
-	if limit <= 0 {
-		return nil
+// SingleSourceBatch answers one single-source query per source in us,
+// fanned across workers goroutines (the build's Options.Workers when
+// workers <= 0) with per-worker scratch. Row i equals
+// SingleSource(us[i], nil) exactly, at any worker count. The first error
+// aborts the batch, and a cancelled ctx (nil means never) stops the
+// fan-out between sources.
+func (p *ScratchPool) SingleSourceBatch(ctx context.Context, us []graph.NodeID, workers int) ([][]float64, error) {
+	n := p.x.g.NumNodes()
+	out := make([][]float64, len(us))
+	if err := p.x.forEachSource(ctx, len(us), workers, func(i int, s *SourceScratch) error {
+		row, err := p.singleSource(us[i], s, make([]float64, n))
+		out[i] = row
+		return err
+	}); err != nil {
+		return nil, err
 	}
-	s := p.Source()
-	top := p.x.sourceTop(u, limit, -1, s)
-	p.PutSource(s)
-	return top
+	return out, nil
 }

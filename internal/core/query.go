@@ -14,10 +14,18 @@ import (
 // entries into H*(v)).
 
 // Scratch holds per-query buffers so queries do not allocate. Each
-// goroutine querying an Index concurrently needs its own Scratch.
+// goroutine querying an Index or DiskIndex concurrently needs its own
+// Scratch.
 type Scratch struct {
-	ka, kb []uint64
-	va, vb []float64
+	// Gathered entry lists, one slot per endpoint of a pair.
+	gk [2][]uint64
+	gv [2][]float64
+
+	// Positioned-read fetch buffers of a ReadAt disk index: one node's
+	// raw entry bytes, decoded into one slot per endpoint.
+	raw []byte
+	fk  [2][]uint64
+	fv  [2][]float64
 
 	// Dense accumulator for the Algorithm 5 step-2 sums, with the nodes
 	// it touched both listed and set in a bitmap of n/64 words. acc and
@@ -117,8 +125,9 @@ func (x *Index) gather(v graph.NodeID, s *Scratch, bufK *[]uint64, bufV *[]float
 }
 
 // gatherFrom is gather over caller-supplied stored entries; it is the
-// shared path between the in-memory Index and the disk-resident index,
-// which fetches a node's entries with a pread before transforming them.
+// shared path between the in-memory Index and the serving engine, which
+// fetches a node's entries from memory, a mapping, or positioned reads
+// before transforming them.
 func (x *Index) gatherFrom(v graph.NodeID, stored []uint64, storedVals []float64, s *Scratch, bufK *[]uint64, bufV *[]float64) ([]uint64, []float64) {
 	enhance := x.prm.enhance && x.markOff[v+1] > x.markOff[v]
 	if !x.reduced[v] && !enhance {
@@ -202,8 +211,8 @@ func (x *Index) SimRank(u, v graph.NodeID, s *Scratch) float64 {
 	if s == nil {
 		s = x.NewScratch()
 	}
-	ku, vu := x.gather(u, s, &s.ka, &s.va)
-	kv, vv := x.gather(v, s, &s.kb, &s.vb)
+	ku, vu := x.gather(u, s, &s.gk[0], &s.gv[0])
+	kv, vv := x.gather(v, s, &s.gk[1], &s.gv[1])
 	return joinScore(ku, vu, kv, vv, x.d)
 }
 

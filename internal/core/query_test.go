@@ -115,7 +115,7 @@ func TestEnhancedEntriesNeverOverestimate(t *testing.T) {
 	exact := walk.ExactHP(g, c, maxL)
 	s := x.NewScratch()
 	for v := graph.NodeID(0); v < 30; v++ {
-		keys, vals := x.gather(v, s, &s.ka, &s.va)
+		keys, vals := x.gather(v, s, &s.gk[0], &s.gv[0])
 		for i, key := range keys {
 			l, k := keyStep(key), keyNode(key)
 			if l > maxL {
@@ -249,11 +249,11 @@ func TestDiskIndexMatchesMemory(t *testing.T) {
 	}
 	defer di.Close()
 	ms := x.NewScratch()
-	ds := di.NewScratch()
+	p, ds := di.NewScratchPool(), di.NewScratch()
 	for i := graph.NodeID(0); i < 50; i++ {
 		for j := graph.NodeID(0); j < 50; j += 7 {
 			want := x.SimRank(i, j, ms)
-			got, err := di.SimRank(i, j, ds)
+			got, err := p.simRank(i, j, ds)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -329,10 +329,10 @@ func TestDiskIndexSingleSource(t *testing.T) {
 	}
 	defer di.Close()
 	ss := x.NewSourceScratch()
-	ds := di.NewScratch()
+	p := di.NewScratchPool()
 	for _, u := range []graph.NodeID{0, 19, 39} {
 		want := x.SingleSource(u, ss, nil)
-		got, err := di.SingleSource(u, ds, nil, nil)
+		got, err := p.SingleSource(u, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -406,24 +406,24 @@ var ErrMmapUnsupported = mmap.ErrUnsupported
 // (platform mmap support and a little-endian CPU).
 func MmapSupported() bool { return mmap.Supported() }
 
-// DiskIndex answers queries against an index whose HP entries stay on
+// DiskIndex is the entry source of an index whose HP entries stay on
 // disk (Section 5.4): only the O(n) metadata (correction factors, flags,
-// offsets) is memory-resident, and each query fetches the two relevant
-// H(v) ranges with positioned reads — a constant I/O cost per query.
-// Opened with OpenDiskIndexMmap, the entries regions are instead
-// memory-mapped and served as zero-copy typed views, making the OS
-// page cache the only cache.
+// offsets) is memory-resident, and each query fetches the relevant H(v)
+// ranges with positioned reads — a constant I/O cost per query. Opened
+// with OpenDiskIndexMmap, the entries regions are instead memory-mapped
+// and served as zero-copy typed views, making the OS page cache the only
+// cache. Queries run through NewScratchPool, the same engine the
+// in-memory index serves with.
 type DiskIndex struct {
 	meta       *Index
 	f          *os.File
 	entriesOff int64 // keys region offset (8-byte aligned)
 	valsOff    int64 // vals region offset
 	numEntries int64
-	cache      *EntryCache
 
 	// mmap serving mode: when mapped is true, mkeys/mvals are typed
-	// views over mm and fetch is pure slicing — zero copies, zero
-	// allocations, no cache.
+	// views over mm and a fetch is pure slicing — zero copies, zero
+	// allocations.
 	mapped bool
 	mm     *mmap.Mapping
 	mkeys  []uint64
@@ -472,14 +472,13 @@ func OpenDiskIndex(path string, g *graph.Graph) (*DiskIndex, error) {
 }
 
 // OpenDiskIndexMmap opens path like OpenDiskIndex but maps the file
-// and serves the entries regions as zero-copy typed views: fetch is
-// pointer arithmetic, the OS page cache is the only cache, and
-// EnableCache becomes a no-op. It validates everything OpenDiskIndex
-// validates (same metadata parse, same file-size cross-check) before
-// mapping, so every input the ReadAt loader rejects is rejected here
-// too. On platforms or byte orders where the reinterpretation is
-// invalid it fails with ErrMmapUnsupported and the caller falls back
-// to OpenDiskIndex.
+// and serves the entries regions as zero-copy typed views: a fetch is
+// pointer arithmetic and the OS page cache is the only cache. It
+// validates everything OpenDiskIndex validates (same metadata parse,
+// same file-size cross-check) before mapping, so every input the ReadAt
+// loader rejects is rejected here too. On platforms or byte orders
+// where the reinterpretation is invalid it fails with
+// ErrMmapUnsupported and the caller falls back to OpenDiskIndex.
 func OpenDiskIndexMmap(path string, g *graph.Graph) (*DiskIndex, error) {
 	d, err := openDiskFile(path, g)
 	if err != nil {
@@ -529,51 +528,22 @@ func (d *DiskIndex) Meta() *Index { return d.meta }
 // NumEntries returns the number of HP entries in the on-disk region.
 func (d *DiskIndex) NumEntries() int64 { return d.numEntries }
 
-// EnableCache attaches a sharded LRU cache of decoded entry lists,
-// bounded by maxBytes, so hot nodes skip the pread entirely. Call
-// before serving; it is not safe to swap the cache mid-query. In
-// mapped mode the page cache already serves every fetch with zero
-// copies, so EnableCache is a no-op there.
-func (d *DiskIndex) EnableCache(maxBytes int64) {
-	if d.mapped {
-		return
-	}
-	d.cache = NewEntryCache(maxBytes)
-}
+// DiskScratch is the per-query scratch of a disk index; the one
+// Scratch type carries its fetch buffers.
+type DiskScratch = Scratch
 
-// CacheStats reports entry-cache hit/miss/occupancy counters (zero
-// values when no cache is enabled).
-func (d *DiskIndex) CacheStats() CacheStats { return d.cache.Stats() }
+// NewScratch sizes a Scratch for the disk index's graph.
+func (d *DiskIndex) NewScratch() *Scratch { return d.meta.NewScratch() }
 
-// DiskScratch holds per-query buffers for DiskIndex queries.
-type DiskScratch struct {
-	q        *Scratch
-	raw      []byte
-	ka, kb   []uint64
-	va, vb   []float64
-	gka, gkb []uint64
-	gva, gvb []float64
-}
-
-// NewScratch sizes a DiskScratch.
-func (d *DiskIndex) NewScratch() *DiskScratch {
-	return &DiskScratch{q: d.meta.NewScratch()}
-}
-
-// fetch returns node v's stored entries. In mapped mode it slices the
-// typed views directly — zero copies, zero allocations. Otherwise it
-// reads the keys and vals ranges from disk into the given buffers,
-// consulting (and on miss, populating) the entry cache when one is
-// enabled. All paths hand the caller a read-only view.
-func (d *DiskIndex) fetch(v graph.NodeID, s *DiskScratch, keys *[]uint64, vals *[]float64) ([]uint64, []float64, error) {
+// entries implements entrySource. In mapped mode it slices the typed
+// views directly — zero copies, zero allocations. Otherwise it reads the
+// keys and vals ranges with two positioned reads and decodes them into
+// the scratch's fetch buffers for slot; a read error is the only error
+// any query can return.
+func (d *DiskIndex) entries(v graph.NodeID, s *Scratch, slot int) ([]uint64, []float64, error) {
 	lo, hi := d.meta.off[v], d.meta.off[v+1]
 	if d.mapped {
 		return d.mkeys[lo:hi], d.mvals[lo:hi], nil
-	}
-	if d.cache != nil {
-		if k, val, ok := d.cache.Get(int32(v)); ok {
-			return k, val, nil
-		}
 	}
 	cnt := int(hi - lo)
 	need := cnt * 16
@@ -587,7 +557,7 @@ func (d *DiskIndex) fetch(v graph.NodeID, s *DiskScratch, keys *[]uint64, vals *
 	if _, err := d.f.ReadAt(raw[8*cnt:], d.valsOff+lo*8); err != nil {
 		return nil, nil, fmt.Errorf("core: disk index value read for node %d: %w", v, err)
 	}
-	k, val := (*keys)[:0], (*vals)[:0]
+	k, val := s.fk[slot][:0], s.fv[slot][:0]
 	le := binary.LittleEndian
 	for i := 0; i < cnt; i++ {
 		k = append(k, le.Uint64(raw[8*i:]))
@@ -595,53 +565,6 @@ func (d *DiskIndex) fetch(v graph.NodeID, s *DiskScratch, keys *[]uint64, vals *
 	for i := 0; i < cnt; i++ {
 		val = append(val, math.Float64frombits(le.Uint64(raw[8*cnt+8*i:])))
 	}
-	*keys, *vals = k, val
-	if d.cache != nil {
-		d.cache.Put(int32(v), k, val)
-	}
+	s.fk[slot], s.fv[slot] = k, val
 	return k, val, nil
-}
-
-// SingleSource answers a single-source query from disk: one positioned
-// read fetches H(u), then the Algorithm 6 propagation runs as in memory
-// (it needs only the graph and the memory-resident d̃ values).
-func (d *DiskIndex) SingleSource(u graph.NodeID, s *DiskScratch, ss *SourceScratch, out []float64) ([]float64, error) {
-	if s == nil {
-		s = d.NewScratch()
-	}
-	keys, vals, err := d.gather(u, s)
-	if err != nil {
-		return nil, err
-	}
-	return d.meta.SingleSourceFrom(keys, vals, ss, out), nil
-}
-
-// gather is Index.gather over disk-resident entries: one fetch into the
-// scratch's first buffer pair, then the in-memory transformations.
-func (d *DiskIndex) gather(u graph.NodeID, s *DiskScratch) ([]uint64, []float64, error) {
-	ku, vu, err := d.fetch(u, s, &s.ka, &s.va)
-	if err != nil {
-		return nil, nil, err
-	}
-	keys, vals := d.meta.gatherFrom(u, ku, vu, s.q, &s.gka, &s.gva)
-	return keys, vals, nil
-}
-
-// SimRank answers a single-pair query with two positioned reads (or two
-// zero-copy view slices in mapped mode).
-func (d *DiskIndex) SimRank(u, v graph.NodeID, s *DiskScratch) (float64, error) {
-	if s == nil {
-		s = d.NewScratch()
-	}
-	ku, vu, err := d.fetch(u, s, &s.ka, &s.va)
-	if err != nil {
-		return 0, err
-	}
-	gku, gvu := d.meta.gatherFrom(u, ku, vu, s.q, &s.gka, &s.gva)
-	kv, vv, err := d.fetch(v, s, &s.kb, &s.vb)
-	if err != nil {
-		return 0, err
-	}
-	gkv, gvv := d.meta.gatherFrom(v, kv, vv, s.q, &s.gkb, &s.gvb)
-	return joinScore(gku, gvu, gkv, gvv, d.meta.d), nil
 }

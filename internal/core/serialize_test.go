@@ -233,15 +233,16 @@ func TestMmapMatchesReadAt(t *testing.T) {
 	if !dm.Mapped() || dr.Mapped() {
 		t.Fatalf("Mapped() = %v/%v, want true for mmap and false for ReadAt", dm.Mapped(), dr.Mapped())
 	}
+	pr, pm := dr.NewScratchPool(), dm.NewScratchPool()
 	sr, sm := dr.NewScratch(), dm.NewScratch()
 	n := g.NumNodes()
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v += 3 {
-			a, err := dr.SimRank(int32(u), int32(v), sr)
+			a, err := pr.simRank(int32(u), int32(v), sr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := dm.SimRank(int32(u), int32(v), sm)
+			b, err := pm.simRank(int32(u), int32(v), sm)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -253,8 +254,9 @@ func TestMmapMatchesReadAt(t *testing.T) {
 }
 
 // TestMmapFetchZeroAllocs pins the point of the mapped mode: with warm
-// scratch, a single-pair query performs zero heap allocations — fetch
-// is pure slicing into the mapped views.
+// caller-held scratch (no sync.Pool in the measured loop), a
+// single-pair query performs zero heap allocations — fetch is pure
+// slicing into the mapped views.
 func TestMmapFetchZeroAllocs(t *testing.T) {
 	if !MmapSupported() {
 		t.Skip("mmap not supported on this platform")
@@ -266,12 +268,12 @@ func TestMmapFetchZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	s := d.NewScratch()
-	if _, err := d.SimRank(3, 17, s); err != nil { // warm scratch capacities
+	p, s := d.NewScratchPool(), d.NewScratch()
+	if _, err := p.simRank(3, 17, s); err != nil { // warm scratch capacities
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := d.SimRank(3, 17, s); err != nil {
+		if _, err := p.simRank(3, 17, s); err != nil {
 			t.Fatal(err)
 		}
 	})

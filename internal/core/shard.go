@@ -36,18 +36,18 @@ func (x *Index) FragmentOf(u graph.NodeID, s *Scratch) (keys []uint64, vals, dva
 	if s == nil {
 		s = x.NewScratch()
 	}
-	k, v := x.gather(u, s, &s.ka, &s.va)
+	k, v := x.gather(u, s, &s.gk[0], &s.gv[0])
 	return copyFragment(k, v, x.d)
 }
 
 // FragmentOf is Index.FragmentOf over disk-resident entries: one
 // positioned read (or a zero-copy view slice) plus the same gather
 // transformations.
-func (d *DiskIndex) FragmentOf(u graph.NodeID, s *DiskScratch) (keys []uint64, vals, dvals []float64, err error) {
+func (d *DiskIndex) FragmentOf(u graph.NodeID, s *Scratch) (keys []uint64, vals, dvals []float64, err error) {
 	if s == nil {
 		s = d.NewScratch()
 	}
-	gk, gv, err := d.gather(u, s)
+	gk, gv, err := d.meta.gatherAt(d, u, s, 0)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -142,17 +142,22 @@ func (x *Index) EntryBytes() []int64 {
 	return w
 }
 
-// Fragment is ScratchPool.Fragment: FragmentOf with pooled scratch.
-func (p *ScratchPool) Fragment(u graph.NodeID) (keys []uint64, vals, dvals []float64) {
+// Fragment returns u's gathered fragment (as Index.FragmentOf: fresh
+// slices plus per-entry d̃ values) with pooled scratch.
+func (p *ScratchPool) Fragment(u graph.NodeID) (keys []uint64, vals, dvals []float64, err error) {
 	s := p.Scratch()
-	keys, vals, dvals = p.x.FragmentOf(u, s)
+	gk, gv, err := p.x.gatherAt(p.src, u, s, 0)
+	if err == nil {
+		keys, vals, dvals = copyFragment(gk, gv, p.x.d)
+	}
 	p.PutScratch(s)
-	return keys, vals, dvals
+	return keys, vals, dvals, err
 }
 
 // SourceSlice propagates an already-gathered fragment (Algorithm 6 over
 // the full node space) and returns a fresh copy of the [lo, hi) slice of
-// the resulting score vector, with pooled scratch.
+// the resulting score vector, with pooled scratch. Propagation uses only
+// the memory-resident metadata, so it fetches nothing and cannot fail.
 func (p *ScratchPool) SourceSlice(keys []uint64, vals []float64, lo, hi int) []float64 {
 	s := p.Source()
 	out := p.x.sliceFrom(keys, vals, lo, hi, s)
@@ -166,30 +171,5 @@ func (p *ScratchPool) TopSlice(keys []uint64, vals []float64, k int, skip graph.
 	s := p.Source()
 	top := p.x.topFrom(keys, vals, k, skip, lo, hi, s)
 	p.PutSource(s)
-	return top
-}
-
-// Fragment is DiskScratchPool.Fragment: FragmentOf with pooled scratch.
-func (p *DiskScratchPool) Fragment(u graph.NodeID) (keys []uint64, vals, dvals []float64, err error) {
-	s := p.scratch.Get().(*DiskScratch)
-	keys, vals, dvals, err = p.d.FragmentOf(u, s)
-	p.scratch.Put(s)
-	return keys, vals, dvals, err
-}
-
-// SourceSlice is ScratchPool.SourceSlice for the disk index: propagation
-// uses only the memory-resident metadata, so no I/O occurs.
-func (p *DiskScratchPool) SourceSlice(keys []uint64, vals []float64, lo, hi int) []float64 {
-	ss := p.source.Get().(*SourceScratch)
-	out := p.d.meta.sliceFrom(keys, vals, lo, hi, ss)
-	p.source.Put(ss)
-	return out
-}
-
-// TopSlice is ScratchPool.TopSlice for the disk index.
-func (p *DiskScratchPool) TopSlice(keys []uint64, vals []float64, k int, skip graph.NodeID, lo, hi int) []TopEntry {
-	ss := p.source.Get().(*SourceScratch)
-	top := p.d.meta.topFrom(keys, vals, k, skip, lo, hi, ss)
-	p.source.Put(ss)
 	return top
 }

@@ -52,7 +52,7 @@ func (x *Index) SingleSource(u graph.NodeID, s *SourceScratch, out []float64) []
 	if s == nil {
 		s = x.NewSourceScratch()
 	}
-	keys, vals := x.gather(u, s.q, &s.q.ka, &s.q.va)
+	keys, vals := x.gather(u, s.q, &s.q.gk[0], &s.q.gv[0])
 	return x.SingleSourceFrom(keys, vals, s, out)
 }
 
@@ -109,7 +109,7 @@ func (x *Index) sourceTop(u graph.NodeID, k int, skip graph.NodeID, s *SourceScr
 	if s == nil {
 		s = x.NewSourceScratch()
 	}
-	keys, vals := x.gather(u, s.q, &s.q.ka, &s.q.va)
+	keys, vals := x.gather(u, s.q, &s.q.gk[0], &s.q.gv[0])
 	return x.topFrom(keys, vals, k, skip, 0, x.g.NumNodes(), s)
 }
 
@@ -195,11 +195,11 @@ func (x *Index) SingleSourceNaive(u graph.NodeID, s *Scratch, out []float64) []f
 		out = make([]float64, n)
 	}
 	out = out[:n]
-	ku, vu := x.gather(u, s, &s.ka, &s.va)
+	ku, vu := x.gather(u, s, &s.gk[0], &s.gv[0])
 	// gather(u) may alias index storage; gathering v below can reuse only
 	// the second buffer pair so u's view stays valid.
 	for v := 0; v < n; v++ {
-		kv, vv := x.gather(graph.NodeID(v), s, &s.kb, &s.vb)
+		kv, vv := x.gather(graph.NodeID(v), s, &s.gk[1], &s.gv[1])
 		out[v] = joinScore(ku, vu, kv, vv, x.d)
 	}
 	return out
@@ -220,14 +220,17 @@ func CtxErr(ctx context.Context) error {
 // across workers goroutines (Options.Workers when workers <= 0), each
 // with its own SourceScratch. Sources are handed out from a shared atomic
 // counter so stragglers don't idle a worker. Each call of fn is
-// independent, so the results are identical at any worker count.
+// independent, so the results are identical at any worker count. It is
+// the one batch loop: the resident reference methods and the serving
+// engine both fan out through it.
 //
-// ctx is observed between per-source units: once it is cancelled no new
-// source starts (in-flight sources finish) and ctx.Err() is returned, so
-// an abandoned batch stops burning CPU at source granularity. A ctx
+// The first error fn returns stops the fan-out and is returned. ctx is
+// observed between per-source units: once it is cancelled no new source
+// starts (in-flight sources finish) and ctx.Err() is returned, so an
+// abandoned batch stops burning CPU at source granularity. A ctx
 // cancelled only after the last source was claimed does not fail the
 // batch — completed work is returned, not discarded.
-func (x *Index) forEachSource(ctx context.Context, count, workers int, fn func(i int, s *SourceScratch)) error {
+func (x *Index) forEachSource(ctx context.Context, count, workers int, fn func(i int, s *SourceScratch) error) error {
 	if workers <= 0 {
 		workers = x.prm.workers
 	}
@@ -240,12 +243,14 @@ func (x *Index) forEachSource(ctx context.Context, count, workers int, fn func(i
 			if err := CtxErr(ctx); err != nil {
 				return err
 			}
-			fn(i, s)
+			if err := fn(i, s); err != nil {
+				return err
+			}
 		}
 		return nil
 	}
 	var next atomic.Int64
-	var aborted atomic.Bool
+	var firstErr atomic.Pointer[error]
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -257,20 +262,26 @@ func (x *Index) forEachSource(ctx context.Context, count, workers int, fn func(i
 				// exhausted returns cleanly, so a ctx cancelled after the
 				// last source leaves a fully-computed batch intact.
 				i := int(next.Add(1)) - 1
-				if i >= count {
+				if i >= count || firstErr.Load() != nil {
 					return
 				}
-				if CtxErr(ctx) != nil {
-					aborted.Store(true)
+				err := CtxErr(ctx)
+				if err == nil {
+					err = fn(i, s)
+				}
+				if err != nil {
+					// Copied before its address is taken, so the happy
+					// path never heap-allocates an error variable.
+					e := err
+					firstErr.CompareAndSwap(nil, &e)
 					return
 				}
-				fn(i, s)
 			}
 		}()
 	}
 	wg.Wait()
-	if aborted.Load() {
-		return CtxErr(ctx)
+	if ep := firstErr.Load(); ep != nil {
+		return *ep
 	}
 	return nil
 }
@@ -285,8 +296,9 @@ func (x *Index) forEachSource(ctx context.Context, count, workers int, fn func(i
 func (x *Index) SingleSourceBatch(ctx context.Context, us []graph.NodeID, workers int) ([][]float64, error) {
 	n := x.g.NumNodes()
 	out := make([][]float64, len(us))
-	if err := x.forEachSource(ctx, len(us), workers, func(i int, s *SourceScratch) {
+	if err := x.forEachSource(ctx, len(us), workers, func(i int, s *SourceScratch) error {
 		out[i] = x.SingleSource(us[i], s, make([]float64, n))
+		return nil
 	}); err != nil {
 		return nil, err
 	}
@@ -301,8 +313,9 @@ func (x *Index) SingleSourceBatch(ctx context.Context, us []graph.NodeID, worker
 func (x *Index) AllPairs(ctx context.Context) (*power.Scores, error) {
 	n := x.g.NumNodes()
 	s := &power.Scores{N: n, Data: make([]float64, n*n)}
-	if err := x.forEachSource(ctx, n, 0, func(u int, ss *SourceScratch) {
+	if err := x.forEachSource(ctx, n, 0, func(u int, ss *SourceScratch) error {
 		x.SingleSource(graph.NodeID(u), ss, s.Data[u*n:(u+1)*n])
+		return nil
 	}); err != nil {
 		return nil, err
 	}

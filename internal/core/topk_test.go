@@ -171,11 +171,11 @@ func TestScratchPoolConcurrentDeterminism(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				if got := pool.SimRank(2, 3); got != wantPair {
+				if got, err := pool.SimRank(2, 3); err != nil || got != wantPair {
 					errs <- "SimRank drift under concurrency"
 					return
 				}
-				if got := pool.TopK(4, 5); !equalTop(got, wantTop) {
+				if got, err := pool.TopK(4, 5); err != nil || !equalTop(got, wantTop) {
 					errs <- "TopK drift under concurrency"
 					return
 				}

@@ -131,29 +131,11 @@ func sameTopBits(a, b []TopEntry) bool {
 	return true
 }
 
-// topBackend is one pooled serving path under test.
-type topBackend struct {
-	name      string
-	topK      func(u graph.NodeID, k int) ([]TopEntry, error)
-	sourceTop func(u graph.NodeID, k int) ([]TopEntry, error)
-	topSlice  func(keys []uint64, vals []float64, k int, skip graph.NodeID, lo, hi int) []TopEntry
-	slice     func(keys []uint64, vals []float64, lo, hi int) []float64
-}
-
-func memBackend(x *Index) topBackend {
-	p := x.NewScratchPool()
-	return topBackend{
-		name:      "memory",
-		topK:      func(u graph.NodeID, k int) ([]TopEntry, error) { return p.TopK(u, k), nil },
-		sourceTop: func(u graph.NodeID, k int) ([]TopEntry, error) { return p.SourceTop(u, k), nil },
-		topSlice:  p.TopSlice,
-		slice:     p.SourceSlice,
-	}
-}
-
-func diskBackend(name string, d *DiskIndex) topBackend {
-	p := d.NewScratchPool()
-	return topBackend{name: name, topK: p.TopK, sourceTop: p.SourceTop, topSlice: p.TopSlice, slice: p.SourceSlice}
+// servedPool is one serving path under test: the engine over memory,
+// ReadAt, or mmap.
+type servedPool struct {
+	name string
+	p    *ScratchPool
 }
 
 // TestTouchedTopKMatchesDenseSelect checks the served top-k paths, which
@@ -164,20 +146,20 @@ func diskBackend(name string, d *DiskIndex) topBackend {
 func TestTouchedTopKMatchesDenseSelect(t *testing.T) {
 	g := skewedGraph(300, 1500, 43)
 	x, path := saveTestIndex(t, g, &Options{Eps: 0.05, Seed: 43, Enhance: true})
-	backends := []topBackend{memBackend(x)}
+	backends := []servedPool{{"memory", x.NewScratchPool()}}
 	readAt, err := OpenDiskIndex(path, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer readAt.Close()
-	backends = append(backends, diskBackend("readat", readAt))
+	backends = append(backends, servedPool{"readat", readAt.NewScratchPool()})
 	if MmapSupported() {
 		mapped, err := OpenDiskIndexMmap(path, g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer mapped.Close()
-		backends = append(backends, diskBackend("mmap", mapped))
+		backends = append(backends, servedPool{"mmap", mapped.NewScratchPool()})
 	}
 	n := g.NumNodes()
 	mid := n / 3
@@ -188,14 +170,14 @@ func TestTouchedTopKMatchesDenseSelect(t *testing.T) {
 			dense = x.SingleSource(u, ss, dense)
 			keys, vals, _ := x.FragmentOf(u, nil)
 			for _, k := range []int{1, 10, n} {
-				got, err := b.topK(u, k)
+				got, err := b.p.TopK(u, k)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if want := SelectTop(dense, k, u); !sameTopBits(got, want) {
 					t.Fatalf("%s: TopK(%d, %d) = %v, dense select %v", b.name, u, k, got, want)
 				}
-				got, err = b.sourceTop(u, k)
+				got, err = b.p.SourceTop(u, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -203,14 +185,14 @@ func TestTouchedTopKMatchesDenseSelect(t *testing.T) {
 					t.Fatalf("%s: SourceTop(%d, %d) = %v, dense select %v", b.name, u, k, got, want)
 				}
 				for _, r := range [][2]int{{0, mid}, {mid, n}} {
-					got := b.topSlice(keys, vals, k, u, r[0], r[1])
+					got := b.p.TopSlice(keys, vals, k, u, r[0], r[1])
 					if want := SelectTopRange(dense, k, u, r[0], r[1]); !sameTopBits(got, want) {
 						t.Fatalf("%s: TopSlice(%d, %d, %v) = %v, dense select %v", b.name, u, k, r, got, want)
 					}
 				}
 			}
 			for _, r := range [][2]int{{0, mid}, {mid, n}} {
-				got := b.slice(keys, vals, r[0], r[1])
+				got := b.p.SourceSlice(keys, vals, r[0], r[1])
 				if len(got) != r[1]-r[0] {
 					t.Fatalf("%s: SourceSlice(%d, %v) has %d scores", b.name, u, r, len(got))
 				}
@@ -236,14 +218,14 @@ func TestPooledTopKAllocs(t *testing.T) {
 	}
 	g := skewedGraph(300, 1500, 47)
 	x, path := saveTestIndex(t, g, &Options{Eps: 0.05, Seed: 47, Enhance: true})
-	backends := []topBackend{memBackend(x)}
+	backends := []servedPool{{"memory", x.NewScratchPool()}}
 	if MmapSupported() {
 		mapped, err := OpenDiskIndexMmap(path, g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer mapped.Close()
-		backends = append(backends, diskBackend("mmap", mapped))
+		backends = append(backends, servedPool{"mmap", mapped.NewScratchPool()})
 	}
 	const u = 3
 	keys, vals, _ := x.FragmentOf(u, nil)
@@ -253,9 +235,9 @@ func TestPooledTopKAllocs(t *testing.T) {
 	n := g.NumNodes()
 	for _, b := range backends {
 		calls := map[string]func(){
-			"TopK":      func() { _, _ = b.topK(u, 5) },
-			"SourceTop": func() { _, _ = b.sourceTop(u, 5) },
-			"TopSlice":  func() { b.topSlice(keys, vals, 5, u, 0, n) },
+			"TopK":      func() { _, _ = b.p.TopK(u, 5) },
+			"SourceTop": func() { _, _ = b.p.SourceTop(u, 5) },
+			"TopSlice":  func() { b.p.TopSlice(keys, vals, 5, u, 0, n) },
 		}
 		for name, call := range calls {
 			if allocs := testing.AllocsPerRun(100, call); allocs != 1 {

@@ -583,7 +583,10 @@ func (d *Dynamic) SimRank(u, v graph.NodeID) float64 {
 	w := d.acquire()
 	defer d.release(w.gen)
 	if w.clean(u) && w.clean(v) {
-		return clamp01(w.gen.pool.SimRank(u, v))
+		s := w.gen.pool.Scratch()
+		score := w.gen.ix.SimRank(u, v, s)
+		w.gen.pool.PutScratch(s)
+		return clamp01(score)
 	}
 	return d.pairEstimate(w.g, u, v)
 }
@@ -604,7 +607,9 @@ func (d *Dynamic) singleSource(w *view, u graph.NodeID, out []float64) []float64
 	}
 	out = out[:d.n]
 	if w.clean(u) {
-		out = w.gen.pool.SingleSource(u, out)
+		ss := w.gen.pool.Source()
+		out = w.gen.ix.SingleSource(u, ss, out)
+		w.gen.pool.PutSource(ss)
 		for i, s := range out {
 			out[i] = clamp01(s)
 		}

@@ -10,9 +10,9 @@ import (
 // up with, with the exact graph (or error) it must produce.
 func TestReadEdgeListTable(t *testing.T) {
 	cases := []struct {
-		name  string
-		in    string
-		opts  *LoadOptions
+		name string
+		in   string
+		opts *LoadOptions
 		// expectations (ignored when wantErr is set)
 		wantErr    bool
 		nodes      int

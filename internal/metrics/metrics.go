@@ -4,10 +4,11 @@
 // Prometheus text exposition format (GET /metrics).
 //
 // It exists so the serving stack has one observability surface instead of
-// the three hand-rolled per-mode stats closures it grew historically: the
-// disk cache, the dynamic layer's epoch/rebuild/staleness counters, and
-// the HTTP layer's request/canceled/throttled counts all register here,
-// and dashboards scrape one endpoint with stable instrument names.
+// hand-rolled per-mode stats closures: the in-memory index's size, the
+// dynamic layer's epoch/rebuild/staleness counters, the catalog's
+// residency, and the HTTP layer's request/canceled/throttled counts all
+// register here, and dashboards scrape one endpoint with stable
+// instrument names.
 //
 // Instruments are cheap enough for hot paths: a Counter.Add is one atomic
 // add, a Histogram.Observe is two atomic adds plus a bucket scan over a

@@ -10,7 +10,7 @@ import (
 // surface left is observability: /stats serves a typed view selected by
 // the backend's concrete type (the JSON field sets are golden-schema
 // pinned in stats_schema_test.go), and registerBackendGauges bridges
-// each backend's internal counters — the disk index's entry cache, the
+// each backend's internal counters — the in-memory index's size, the
 // dynamic index's epoch/staleness/rebuild state — into the metrics
 // registry so GET /metrics exposes them alongside the HTTP instruments.
 
@@ -29,27 +29,17 @@ type memoryStatsView struct {
 	CanceledOps uint64  `json:"canceled_ops"`
 }
 
-// cacheStatsView nests the disk index's entry-cache counters.
-type cacheStatsView struct {
-	Hits     int64 `json:"hits"`
-	Misses   int64 `json:"misses"`
-	Entries  int   `json:"entries"`
-	Bytes    int64 `json:"bytes"`
-	MaxBytes int64 `json:"max_bytes"`
-}
-
 // diskStatsView is the /stats document of a disk-resident index.
 type diskStatsView struct {
-	Mode          string         `json:"mode"`
-	Nodes         int            `json:"nodes"`
-	Edges         int            `json:"edges"`
-	Entries       int64          `json:"entries"`
-	ResidentBytes int64          `json:"resident_bytes"`
-	GraphBytes    int64          `json:"graph_bytes"`
-	ErrorBound    float64        `json:"error_bound"`
-	DecayFactor   float64        `json:"decay_factor"`
-	Cache         cacheStatsView `json:"cache"`
-	CanceledOps   uint64         `json:"canceled_ops"`
+	Mode          string  `json:"mode"`
+	Nodes         int     `json:"nodes"`
+	Edges         int     `json:"edges"`
+	Entries       int64   `json:"entries"`
+	ResidentBytes int64   `json:"resident_bytes"`
+	GraphBytes    int64   `json:"graph_bytes"`
+	ErrorBound    float64 `json:"error_bound"`
+	DecayFactor   float64 `json:"decay_factor"`
+	CanceledOps   uint64  `json:"canceled_ops"`
 }
 
 // dynamicStatsView is the /stats document of an updatable index.
@@ -139,7 +129,6 @@ func statsView(q sling.Querier, canceled uint64) interface{} {
 		}
 	case *sling.DiskIndex:
 		g := b.Graph()
-		cs := b.CacheStats()
 		return diskStatsView{
 			Mode:          "disk",
 			Nodes:         g.NumNodes(),
@@ -149,14 +138,7 @@ func statsView(q sling.Querier, canceled uint64) interface{} {
 			GraphBytes:    g.Bytes(),
 			ErrorBound:    b.ErrorBound(),
 			DecayFactor:   b.C(),
-			Cache: cacheStatsView{
-				Hits:     cs.Hits,
-				Misses:   cs.Misses,
-				Entries:  cs.Entries,
-				Bytes:    cs.Bytes,
-				MaxBytes: cs.MaxBytes,
-			},
-			CanceledOps: canceled,
+			CanceledOps:   canceled,
 		}
 	case *sling.DynamicIndex:
 		st := b.Stats()
@@ -196,20 +178,15 @@ func statsView(q sling.Querier, canceled uint64) interface{} {
 
 // Backend instrument names, shared with the exposition golden test.
 const (
-	MetricIndexBytes          = "sling_index_bytes"
-	MetricIndexEntries        = "sling_index_entries"
-	MetricDiskCacheHits       = "sling_disk_cache_hits"
-	MetricDiskCacheMisses     = "sling_disk_cache_misses"
-	MetricDiskCacheBytes      = "sling_disk_cache_bytes"
-	MetricDynamicEpoch        = "sling_dynamic_epoch"
-	MetricDynamicStaleOps     = "sling_dynamic_stale_ops"
-	MetricDynamicRebuilds     = "sling_dynamic_rebuilds"
-	MetricDynamicAffected     = "sling_dynamic_affected_nodes"
-	MetricDynamicRebuildBusy  = "sling_dynamic_rebuild_running"
-	MetricDynamicEpochsFreed  = "sling_dynamic_epochs_drained"
-	MetricDynamicTotalOps     = "sling_dynamic_total_ops"
-	MetricDiskCacheMaxBytes   = "sling_disk_cache_max_bytes"
-	MetricDiskCacheEntryCount = "sling_disk_cache_entries"
+	MetricIndexBytes         = "sling_index_bytes"
+	MetricIndexEntries       = "sling_index_entries"
+	MetricDynamicEpoch       = "sling_dynamic_epoch"
+	MetricDynamicStaleOps    = "sling_dynamic_stale_ops"
+	MetricDynamicRebuilds    = "sling_dynamic_rebuilds"
+	MetricDynamicAffected    = "sling_dynamic_affected_nodes"
+	MetricDynamicRebuildBusy = "sling_dynamic_rebuild_running"
+	MetricDynamicEpochsFreed = "sling_dynamic_epochs_drained"
+	MetricDynamicTotalOps    = "sling_dynamic_total_ops"
 )
 
 // registerBackendGauges bridges a single-graph backend's internal
@@ -221,12 +198,6 @@ func registerBackendGauges(reg *metrics.Registry, q sling.Querier) {
 	case *sling.Index:
 		reg.GaugeFunc(MetricIndexBytes, "resident index bytes", func() float64 { return float64(b.Bytes()) })
 		reg.GaugeFunc(MetricIndexEntries, "stored HP entries", func() float64 { return float64(b.Stats().Entries) })
-	case *sling.DiskIndex:
-		reg.GaugeFunc(MetricDiskCacheHits, "disk entry-cache hits", func() float64 { return float64(b.CacheStats().Hits) })
-		reg.GaugeFunc(MetricDiskCacheMisses, "disk entry-cache misses", func() float64 { return float64(b.CacheStats().Misses) })
-		reg.GaugeFunc(MetricDiskCacheEntryCount, "disk entry-cache entries", func() float64 { return float64(b.CacheStats().Entries) })
-		reg.GaugeFunc(MetricDiskCacheBytes, "disk entry-cache occupancy", func() float64 { return float64(b.CacheStats().Bytes) })
-		reg.GaugeFunc(MetricDiskCacheMaxBytes, "disk entry-cache capacity", func() float64 { return float64(b.CacheStats().MaxBytes) })
 	case *sling.DynamicIndex:
 		reg.GaugeFunc(MetricDynamicEpoch, "serving index generation", func() float64 { return float64(b.Stats().Epoch) })
 		reg.GaugeFunc(MetricDynamicStaleOps, "applied ops not yet rebuilt", func() float64 { return float64(b.Stats().StaleOps) })

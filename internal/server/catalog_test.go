@@ -63,7 +63,7 @@ func catServer(t *testing.T, qps float64) (*Server, *catalog.Catalog, string) {
 			// Mmap where the platform supports it: the catalog must route
 			// the flag through to the zero-copy open path (and fall back
 			// silently elsewhere).
-			{ID: "disk", Graph: diskPath, Mode: "disk", Index: slix, CacheBytes: 1 << 16, Mmap: sling.MmapSupported()},
+			{ID: "disk", Graph: diskPath, Mode: "disk", Index: slix, Mmap: sling.MmapSupported()},
 			{ID: "dyn", Graph: dynPath, Mode: "dynamic", Eps: 0.12, Seed: 13, Walks: 32},
 		},
 	}

@@ -53,7 +53,7 @@ func TestMetricsGoldenPerMode(t *testing.T) {
 	}
 
 	t.Run("memory", func(t *testing.T) {
-		s, err := New(ix, nil)
+		s, err := NewQuerier(ix, nil, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,22 +68,17 @@ func TestMetricsGoldenPerMode(t *testing.T) {
 		if err := ix.Save(path); err != nil {
 			t.Fatal(err)
 		}
-		di, err := sling.OpenDiskWithOptions(path, g, &sling.DiskOptions{CacheBytes: 1 << 16})
+		di, err := sling.OpenDisk(path, g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { di.Close() })
-		s, err := NewDisk(di, nil, Config{})
+		s, err := NewQuerier(di, nil, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertInstruments(t, s, []string{
-			MetricDiskCacheHits + " gauge",
-			MetricDiskCacheMisses + " gauge",
-			MetricDiskCacheEntryCount + " gauge",
-			MetricDiskCacheBytes + " gauge",
-			MetricDiskCacheMaxBytes + " gauge",
-		})
+		// A disk index registers no backend gauges.
+		assertInstruments(t, s, nil)
 	})
 
 	t.Run("dynamic", func(t *testing.T) {

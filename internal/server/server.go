@@ -4,10 +4,10 @@
 // top-k and batched queries concurrently over pooled scratch.
 //
 // Every handler is written against the one sling.Querier interface, so
-// an index can be fully in-memory (New), disk-resident (NewDisk,
-// Section 5.4 of the paper), updatable (NewDynamic), or any future
-// backend handed to NewQuerier: the query surface is identical, only
-// the backend differs, and dynamic mode adds mutation endpoints.
+// NewQuerier serves an index that is fully in-memory, disk-resident
+// (Section 5.4 of the paper), sharded, or any future backend: the query
+// surface is identical, only the backend differs. NewDynamic serves an
+// updatable index and adds the mutation endpoints.
 //
 // NewCatalog serves many graphs from one process through a
 // catalog.Catalog: requests route by graph ID under /g/{id}/..., the
@@ -132,29 +132,6 @@ type tenant struct {
 	maxBatchOps int
 }
 
-// New creates a Server over a built in-memory index with a default
-// Config. labels may be nil, in which case node parameters are dense IDs
-// in [0, NumNodes).
-func New(ix *sling.Index, labels []int64) (*Server, error) {
-	return NewWithConfig(ix, labels, Config{})
-}
-
-// NewWithConfig is New with explicit tuning; zero Config fields take
-// their defaults. Duplicate labels are rejected: a mapping that silently
-// kept the last duplicate would route queries for the earlier node to
-// the wrong one.
-func NewWithConfig(ix *sling.Index, labels []int64, cfg Config) (*Server, error) {
-	return newServer(ix, nil, labels, cfg)
-}
-
-// NewDisk creates a Server over a disk-resident index (Section 5.4):
-// only O(n) metadata is memory-resident and queries read HP entries with
-// positioned preads, through the index's pooled scratch and optional
-// entry cache.
-func NewDisk(di *sling.DiskIndex, labels []int64, cfg Config) (*Server, error) {
-	return newServer(di, nil, labels, cfg)
-}
-
 // NewDynamic creates a Server over an updatable index. The query surface
 // is the same as the other modes; additionally POST /update applies edge
 // operations, POST /rebuild swaps in a freshly built epoch, POST
@@ -164,9 +141,15 @@ func NewDynamic(dx *sling.DynamicIndex, labels []int64, cfg Config) (*Server, er
 	return newServer(dx, dx, labels, cfg)
 }
 
-// NewQuerier creates a Server over any sling.Querier — the constructor a
-// future backend (sharded, replicated, remote) plugs into without the
-// server growing a new mode. /stats reports the backend's QuerierMeta.
+// NewQuerier creates a Server over any sling.Querier — an in-memory,
+// disk-resident, or sharded index, or a future backend (replicated,
+// remote) that plugs in without the server growing a new mode. labels
+// may be nil, in which case node parameters are dense IDs in
+// [0, NumNodes); duplicate labels are rejected, since a mapping that
+// silently kept the last duplicate would route queries for the earlier
+// node to the wrong one. Zero Config fields take their defaults. /stats
+// reports a typed view for the package's own index types and the
+// backend's QuerierMeta otherwise.
 func NewQuerier(q sling.Querier, labels []int64, cfg Config) (*Server, error) {
 	return newServer(q, nil, labels, cfg)
 }

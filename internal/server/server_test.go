@@ -64,7 +64,7 @@ func testServer(t *testing.T, labels []int64) (*Server, *sling.Index) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(ix, labels)
+	s, err := NewQuerier(ix, labels, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +395,7 @@ func TestBatchErrors(t *testing.T) {
 	}
 
 	// Oversized batches are rejected outright.
-	small, err := NewWithConfig(ix, nil, Config{MaxBatchOps: 2})
+	small, err := NewQuerier(ix, nil, Config{MaxBatchOps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,11 +462,11 @@ func TestDuplicateLabelsRejected(t *testing.T) {
 		labels[i] = int64(1000 + i*10)
 	}
 	labels[7] = labels[3] // collide
-	if _, err := NewWithConfig(ix, labels, Config{}); err == nil {
+	if _, err := NewQuerier(ix, labels, Config{}); err == nil {
 		t.Fatal("duplicate labels accepted")
 	}
 	labels[7] = 1070
-	if _, err := NewWithConfig(ix, labels, Config{}); err != nil {
+	if _, err := NewQuerier(ix, labels, Config{}); err != nil {
 		t.Fatalf("distinct labels rejected: %v", err)
 	}
 }
@@ -492,7 +492,7 @@ func TestEmptyScoreListsEncodeAsArrays(t *testing.T) {
 }
 
 // diskServer builds the same index testServer uses, saves it, and serves
-// it disk-resident with an entry cache.
+// it disk-resident over positioned reads.
 func diskServer(t *testing.T, labels []int64) (*Server, *Server, *sling.Index) {
 	t.Helper()
 	mem, ix := testServer(t, labels)
@@ -500,12 +500,12 @@ func diskServer(t *testing.T, labels []int64) (*Server, *Server, *sling.Index) {
 	if err := ix.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	di, err := sling.OpenDiskWithOptions(path, ix.Graph(), &sling.DiskOptions{CacheBytes: 1 << 20})
+	di, err := sling.OpenDisk(path, ix.Graph())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { di.Close() })
-	disk, err := NewDisk(di, labels, Config{})
+	disk, err := NewQuerier(di, labels, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -543,11 +543,10 @@ func TestDiskServerMatchesMemoryServer(t *testing.T) {
 	}
 }
 
-// Disk-mode /stats must report the serving mode and cache counters.
+// Disk-mode /stats must report the serving mode and the on-disk entry
+// count.
 func TestDiskServerStats(t *testing.T) {
 	disk, _, _ := diskServer(t, nil)
-	// Warm the cache, then hit it.
-	get(t, disk, "/simrank?u=1&v=2")
 	get(t, disk, "/simrank?u=1&v=2")
 	rec, body := get(t, disk, "/stats")
 	if rec.Code != http.StatusOK {
@@ -555,13 +554,6 @@ func TestDiskServerStats(t *testing.T) {
 	}
 	if body["mode"] != "disk" {
 		t.Fatalf("mode = %v, want disk", body["mode"])
-	}
-	cache, ok := body["cache"].(map[string]interface{})
-	if !ok {
-		t.Fatalf("no cache stats in %v", body)
-	}
-	if cache["hits"].(float64) == 0 {
-		t.Fatalf("no cache hits recorded: %v", cache)
 	}
 	if body["entries"].(float64) == 0 {
 		t.Fatal("stats entries missing")

@@ -41,13 +41,6 @@ var (
 		"error_bound":    "number",
 		"decay_factor":   "number",
 		"canceled_ops":   "number",
-		"cache": statsSchema{
-			"hits":      "number",
-			"misses":    "number",
-			"entries":   "number",
-			"bytes":     "number",
-			"max_bytes": "number",
-		},
 	}
 	dynamicStatsSchema = statsSchema{
 		"mode":              "string",
@@ -155,7 +148,7 @@ func TestStatsSchemaPerMode(t *testing.T) {
 		make   func(t *testing.T) *Server
 	}{
 		{"memory", "memory", memoryStatsSchema, func(t *testing.T) *Server {
-			s, err := New(ix, nil)
+			s, err := NewQuerier(ix, nil, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,12 +159,12 @@ func TestStatsSchemaPerMode(t *testing.T) {
 			if err := ix.Save(path); err != nil {
 				t.Fatal(err)
 			}
-			di, err := sling.OpenDiskWithOptions(path, g, &sling.DiskOptions{CacheBytes: 1 << 16})
+			di, err := sling.OpenDisk(path, g)
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { di.Close() })
-			s, err := NewDisk(di, nil, Config{})
+			s, err := NewQuerier(di, nil, Config{})
 			if err != nil {
 				t.Fatal(err)
 			}

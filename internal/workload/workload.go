@@ -10,7 +10,7 @@
 // divisor that keeps the twelve-point size progression and each graph's
 // average degree; every cost in SLING, MC and Linearize depends only on
 // n, m, the degree distribution and the decay factor, so the comparison
-// shapes survive the substitution (see DESIGN.md).
+// shapes survive the substitution.
 package workload
 
 import (

@@ -26,8 +26,9 @@ var ErrNodeRange = errors.New("sling: node out of range")
 // QuerierMeta describes a query backend: which kind it is, the graph and
 // guarantee it serves, and its scoring contract.
 type QuerierMeta struct {
-	// Name identifies the backend kind: "memory", "disk", "dynamic", or
-	// an adapter-specific label (e.g. "http-memory").
+	// Name identifies the backend kind: "memory", "disk" (positioned
+	// reads), "disk-mmap" (a mapped disk index), "dynamic", or an
+	// adapter-specific label (e.g. "http-memory").
 	Name string
 	// Nodes is the number of nodes in the served graph.
 	Nodes int
@@ -41,9 +42,10 @@ type QuerierMeta struct {
 	// Epoch is the serving index generation for epoch-swapping backends
 	// (the dynamic layer); 0 for immutable backends.
 	Epoch uint64
-	// Bytes is the backend's resident memory footprint: index structures,
-	// the graph, and any configured caches. The multi-tenant catalog uses
-	// it to account Queriers against its global memory budget, so every
+	// Bytes is the backend's resident memory footprint: index structures
+	// and the graph (a disk index counts its O(n) metadata, not the
+	// entries it reads or maps). The multi-tenant catalog uses it to
+	// account Queriers against its global memory budget, so every
 	// backend must report a best-effort honest number rather than 0.
 	Bytes int64
 }

@@ -2,6 +2,8 @@
 # vet.sh — the repository's full static-analysis gate, runnable locally
 # and in CI (the lint job calls exactly this script):
 #
+#   0. gofmt           — every tracked Go file is gofmt-clean (tracked
+#                        files only, so build outputs are never walked)
 #   1. go vet          — the stock toolchain checks
 #   2. staticcheck     — if installed; CI installs the pinned version
 #                        from .github/workflows/ci.yml, locally it is
@@ -18,6 +20,14 @@ cd "$(dirname "$0")/.."
 pkgs=("$@")
 if [ ${#pkgs[@]} -eq 0 ]; then
   pkgs=(./...)
+fi
+
+echo "==> gofmt"
+unformatted=$(git ls-files '*.go' | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+  echo "gofmt needed on:"
+  echo "$unformatted"
+  exit 1
 fi
 
 echo "==> go vet"

@@ -79,76 +79,43 @@ func (ix *Index) Shard(lo, hi int) *Index {
 // entries, the weight vector shard planning balances over.
 func (ix *Index) EntryBytes() []int64 { return ix.x.EntryBytes() }
 
-// Fragment implements ShardBackend over the in-memory index.
-func (ix *Index) Fragment(ctx context.Context, u NodeID) (*Fragment, error) {
+// Fragment implements ShardBackend: u's gathered HP entries, fetched
+// from memory, a mapping, or a positioned read.
+func (e *engine) Fragment(ctx context.Context, u NodeID) (*Fragment, error) {
 	if err := core.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	if err := checkNode(ix.n, u); err != nil {
+	if err := checkNode(e.n, u); err != nil {
 		return nil, err
 	}
-	keys, vals, dvals := ix.pool.Fragment(u)
-	return &Fragment{Node: u, Keys: keys, Vals: vals, DVals: dvals}, nil
-}
-
-// SourceSlice implements ShardBackend over the in-memory index.
-func (ix *Index) SourceSlice(ctx context.Context, f *Fragment, lo, hi int) ([]float64, error) {
-	if err := core.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	if err := checkSlice(ix.n, lo, hi); err != nil {
-		return nil, err
-	}
-	return ix.pool.SourceSlice(f.Keys, f.Vals, lo, hi), nil
-}
-
-// TopSlice implements ShardBackend over the in-memory index.
-func (ix *Index) TopSlice(ctx context.Context, f *Fragment, k int, skip NodeID, lo, hi int) ([]Scored, error) {
-	if err := core.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	if err := checkSlice(ix.n, lo, hi); err != nil {
-		return nil, err
-	}
-	return ix.pool.TopSlice(f.Keys, f.Vals, k, skip, lo, hi), nil
-}
-
-// Fragment implements ShardBackend over the disk index.
-func (di *DiskIndex) Fragment(ctx context.Context, u NodeID) (*Fragment, error) {
-	if err := core.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	if err := checkNode(di.n, u); err != nil {
-		return nil, err
-	}
-	keys, vals, dvals, err := di.pool.Fragment(u)
+	keys, vals, dvals, err := e.pool.Fragment(u)
 	if err != nil {
 		return nil, err
 	}
 	return &Fragment{Node: u, Keys: keys, Vals: vals, DVals: dvals}, nil
 }
 
-// SourceSlice implements ShardBackend over the disk index; propagation
-// runs on the memory-resident metadata, so it costs no I/O.
-func (di *DiskIndex) SourceSlice(ctx context.Context, f *Fragment, lo, hi int) ([]float64, error) {
+// SourceSlice implements ShardBackend; propagation runs on the
+// memory-resident metadata, so it costs no I/O.
+func (e *engine) SourceSlice(ctx context.Context, f *Fragment, lo, hi int) ([]float64, error) {
 	if err := core.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	if err := checkSlice(di.n, lo, hi); err != nil {
+	if err := checkSlice(e.n, lo, hi); err != nil {
 		return nil, err
 	}
-	return di.pool.SourceSlice(f.Keys, f.Vals, lo, hi), nil
+	return e.pool.SourceSlice(f.Keys, f.Vals, lo, hi), nil
 }
 
-// TopSlice implements ShardBackend over the disk index.
-func (di *DiskIndex) TopSlice(ctx context.Context, f *Fragment, k int, skip NodeID, lo, hi int) ([]Scored, error) {
+// TopSlice implements ShardBackend.
+func (e *engine) TopSlice(ctx context.Context, f *Fragment, k int, skip NodeID, lo, hi int) ([]Scored, error) {
 	if err := core.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	if err := checkSlice(di.n, lo, hi); err != nil {
+	if err := checkSlice(e.n, lo, hi); err != nil {
 		return nil, err
 	}
-	return di.pool.TopSlice(f.Keys, f.Vals, k, skip, lo, hi), nil
+	return e.pool.TopSlice(f.Keys, f.Vals, k, skip, lo, hi), nil
 }
 
 // JoinFragments evaluates the Algorithm 3 merge join of two gathered

@@ -31,8 +31,9 @@
 // with functional options (WithEps, WithWorkers, ...).
 //
 // The index is safe for concurrent queries. See the examples directory
-// for larger scenarios, and DESIGN.md / EXPERIMENTS.md for how this
-// implementation reproduces the paper's evaluation.
+// for larger scenarios, and the README's "Measuring throughput" and
+// "Correctness & conformance" sections for how this implementation
+// reproduces the paper's evaluation.
 package sling
 
 import (
@@ -101,13 +102,12 @@ func LoadEdgeListFile(path string, undirected bool) (*Graph, []int64, error) {
 // concurrent use; per-goroutine query scratch is pooled internally. Index
 // implements Querier.
 type Index struct {
-	x    *core.Index
-	pool *core.ScratchPool
-	n    int
+	engine
+	x *core.Index
 }
 
 func wrap(x *core.Index) *Index {
-	return &Index{x: x, pool: x.NewScratchPool(), n: x.Graph().NumNodes()}
+	return &Index{engine: engine{pool: x.NewScratchPool(), n: x.Graph().NumNodes()}, x: x}
 }
 
 // Build constructs a SLING index over g; no options means the paper's
@@ -142,45 +142,59 @@ func BuildOutOfCore(g *Graph, spillDir string, memBudget int64, opts ...BuildOpt
 	return wrap(x), nil
 }
 
-// SimRank returns s̃(u, v) with at most Meta().Eps additive error.
-func (ix *Index) SimRank(ctx context.Context, u, v NodeID) (float64, error) {
+// engine answers the query methods Index and DiskIndex share, through
+// one core.ScratchPool: the pool fetches H(v) from the resident arrays,
+// a mapping, or positioned reads, and every other step — validation,
+// gather, join, propagation, selection, batch fan-out — is the same code
+// for both.
+type engine struct {
+	pool    *core.ScratchPool
+	n       int
+	workers int // SingleSourceBatch fan-out; 0 takes the build's WithWorkers
+}
+
+// SimRank returns s̃(u, v) with at most Meta().Eps additive error: the
+// Algorithm 3 merge join of H(u) and H(v), with pooled scratch.
+func (e *engine) SimRank(ctx context.Context, u, v NodeID) (float64, error) {
 	if err := core.CtxErr(ctx); err != nil {
 		return 0, err
 	}
-	if err := checkNode(ix.n, u); err != nil {
+	if err := checkNode(e.n, u); err != nil {
 		return 0, err
 	}
-	if err := checkNode(ix.n, v); err != nil {
+	if err := checkNode(e.n, v); err != nil {
 		return 0, err
 	}
-	return ix.pool.SimRank(u, v), nil
+	return e.pool.SimRank(u, v)
 }
 
 // SingleSource returns s̃(u, v) for every node v (Algorithm 6 of the
-// paper), writing into out when it has capacity NumNodes.
-func (ix *Index) SingleSource(ctx context.Context, u NodeID, out []float64) ([]float64, error) {
+// paper: one fetch of H(u), propagated in memory), writing into out when
+// it has capacity NumNodes.
+func (e *engine) SingleSource(ctx context.Context, u NodeID, out []float64) ([]float64, error) {
 	if err := core.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	if err := checkNode(ix.n, u); err != nil {
+	if err := checkNode(e.n, u); err != nil {
 		return nil, err
 	}
-	return ix.pool.SingleSource(u, out), nil
+	return e.pool.SingleSource(u, out)
 }
 
 // SingleSourceBatch answers one single-source query per source in us,
-// fanning the sources across WithWorkers goroutines with per-worker
-// scratch. Row i equals SingleSource(us[i], nil) exactly, at any worker
-// count. Cancellation is observed between sources: a cancelled ctx stops
-// the fan-out and returns ctx.Err().
-func (ix *Index) SingleSourceBatch(ctx context.Context, us []NodeID) ([][]float64, error) {
+// fanning the sources across goroutines with per-worker scratch
+// (WithWorkers for an Index, DiskOptions.Workers for a DiskIndex). Row i
+// equals SingleSource(us[i], nil) exactly, at any worker count.
+// Cancellation is observed between sources: a cancelled ctx stops the
+// fan-out and returns ctx.Err().
+func (e *engine) SingleSourceBatch(ctx context.Context, us []NodeID) ([][]float64, error) {
 	if err := core.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	if err := checkNodes(ix.n, us); err != nil {
+	if err := checkNodes(e.n, us); err != nil {
 		return nil, err
 	}
-	return ix.x.SingleSourceBatch(ctx, us, 0)
+	return e.pool.SingleSourceBatch(ctx, us, e.workers)
 }
 
 // Scored is a node with a SimRank score, as returned by TopK and
@@ -193,27 +207,27 @@ type Scored = core.TopEntry
 // O(nnz log k), with no full sort and no O(n) scan — and every buffer
 // beyond the returned slice is pooled.
 // k <= 0 yields an empty result; k > NumNodes behaves like k = NumNodes.
-func (ix *Index) TopK(ctx context.Context, u NodeID, k int) ([]Scored, error) {
+func (e *engine) TopK(ctx context.Context, u NodeID, k int) ([]Scored, error) {
 	if err := core.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	if err := checkNode(ix.n, u); err != nil {
+	if err := checkNode(e.n, u); err != nil {
 		return nil, err
 	}
-	return ix.pool.TopK(u, k), nil
+	return e.pool.TopK(u, k)
 }
 
 // SourceTop returns the limit highest-scoring nodes for source u (u
 // itself included, typically in first place with s(u,u)=1) in descending
 // score order, breaking ties by node ID.
-func (ix *Index) SourceTop(ctx context.Context, u NodeID, limit int) ([]Scored, error) {
+func (e *engine) SourceTop(ctx context.Context, u NodeID, limit int) ([]Scored, error) {
 	if err := core.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	if err := checkNode(ix.n, u); err != nil {
+	if err := checkNode(e.n, u); err != nil {
 		return nil, err
 	}
-	return ix.pool.SourceTop(u, limit), nil
+	return e.pool.SourceTop(u, limit)
 }
 
 // Meta describes the index as a Querier backend.
@@ -275,25 +289,19 @@ func ReadIndex(r io.Reader, g *Graph) (*Index, error) {
 
 // DiskIndex answers queries against an index file whose HP entries stay
 // on disk; only O(n) metadata is memory-resident and a single-pair query
-// costs two positioned reads (Section 5.4 of the paper). It is safe for
-// arbitrary concurrent use: positioned reads are goroutine-safe, query
-// scratch is pooled internally, and an optional sharded LRU entry cache
-// (DiskOptions.CacheBytes) lets hot nodes skip I/O entirely. DiskIndex
-// implements Querier.
+// costs two positioned reads, or two slices of a mapping (Section 5.4 of
+// the paper). It answers through the same engine as Index, so its
+// scores are bitwise-identical; the only extra outcome is an I/O error
+// from a positioned read. It is safe for arbitrary concurrent use:
+// positioned reads are goroutine-safe and query scratch is pooled
+// internally. DiskIndex implements Querier.
 type DiskIndex struct {
-	d       *core.DiskIndex
-	pool    *core.DiskScratchPool
-	n       int
-	workers int
+	engine
+	d *core.DiskIndex
 }
 
 // DiskOptions tunes disk-resident serving beyond the defaults.
 type DiskOptions struct {
-	// CacheBytes bounds the in-memory entry cache (decoded H(v) lists for
-	// recently-read nodes). 0 disables caching; small positive budgets
-	// are rounded up to a ~64 KiB floor rather than silently disabling.
-	// Ignored in mapped mode, where the OS page cache is the only cache.
-	CacheBytes int64
 	// Workers bounds SingleSourceBatch fan-out. Default GOMAXPROCS.
 	Workers int
 	// Mmap memory-maps the index file and serves the entries regions as
@@ -310,11 +318,8 @@ type DiskOptions struct {
 // Mmap requests fall back to positioned reads.
 func MmapSupported() bool { return core.MmapSupported() }
 
-// DiskCacheStats reports entry-cache hit/miss/occupancy counters.
-type DiskCacheStats = core.CacheStats
-
 // OpenDisk opens path for disk-resident querying with default options
-// (no entry cache, GOMAXPROCS batch workers).
+// (positioned reads, GOMAXPROCS batch workers).
 func OpenDisk(path string, g *Graph) (*DiskIndex, error) {
 	return OpenDiskWithOptions(path, g, nil)
 }
@@ -337,88 +342,16 @@ func OpenDiskWithOptions(path string, g *Graph, o *DiskOptions) (*DiskIndex, err
 	if err != nil {
 		return nil, err
 	}
-	di := &DiskIndex{d: d, pool: d.NewScratchPool(), n: g.NumNodes(), workers: runtime.GOMAXPROCS(0)}
-	if o != nil {
-		if o.CacheBytes > 0 {
-			d.EnableCache(o.CacheBytes)
-		}
-		if o.Workers > 0 {
-			di.workers = o.Workers
-		}
+	workers := runtime.GOMAXPROCS(0)
+	if o != nil && o.Workers > 0 {
+		workers = o.Workers
 	}
-	return di, nil
+	return &DiskIndex{engine: engine{pool: d.NewScratchPool(), n: g.NumNodes(), workers: workers}, d: d}, nil
 }
 
 // Mapped reports whether the index serves from a zero-copy memory
 // mapping (DiskOptions.Mmap honored) rather than positioned reads.
 func (di *DiskIndex) Mapped() bool { return di.d.Mapped() }
-
-// SimRank returns s̃(u, v) reading H(u) and H(v) from disk (or the entry
-// cache), with pooled scratch; safe for concurrent use.
-func (di *DiskIndex) SimRank(ctx context.Context, u, v NodeID) (float64, error) {
-	if err := core.CtxErr(ctx); err != nil {
-		return 0, err
-	}
-	if err := checkNode(di.n, u); err != nil {
-		return 0, err
-	}
-	if err := checkNode(di.n, v); err != nil {
-		return 0, err
-	}
-	return di.pool.SimRank(u, v)
-}
-
-// SingleSource returns s̃(u, v) for every node v, reading H(u) from disk
-// with one positioned read and propagating in memory (Algorithm 6).
-func (di *DiskIndex) SingleSource(ctx context.Context, u NodeID, out []float64) ([]float64, error) {
-	if err := core.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	if err := checkNode(di.n, u); err != nil {
-		return nil, err
-	}
-	return di.pool.SingleSource(u, out)
-}
-
-// SingleSourceBatch answers one single-source query per source in us,
-// fanned across DiskOptions.Workers goroutines with per-worker scratch.
-// Row i equals SingleSource(us[i], nil) exactly, at any worker count.
-// Cancellation is observed between sources.
-func (di *DiskIndex) SingleSourceBatch(ctx context.Context, us []NodeID) ([][]float64, error) {
-	if err := core.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	if err := checkNodes(di.n, us); err != nil {
-		return nil, err
-	}
-	return di.d.SingleSourceBatch(ctx, us, di.workers)
-}
-
-// TopK returns the k nodes most similar to u (excluding u itself) in
-// descending score order, selected with the same size-k heap as the
-// in-memory index over one disk single-source evaluation.
-func (di *DiskIndex) TopK(ctx context.Context, u NodeID, k int) ([]Scored, error) {
-	if err := core.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	if err := checkNode(di.n, u); err != nil {
-		return nil, err
-	}
-	return di.pool.TopK(u, k)
-}
-
-// SourceTop returns the limit highest-scoring nodes for source u (u
-// itself included, typically first with s(u,u)=1) in descending score
-// order, breaking ties by node ID.
-func (di *DiskIndex) SourceTop(ctx context.Context, u NodeID, limit int) ([]Scored, error) {
-	if err := core.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	if err := checkNode(di.n, u); err != nil {
-		return nil, err
-	}
-	return di.pool.SourceTop(u, limit)
-}
 
 // Meta describes the disk index as a Querier backend ("disk-mmap" when
 // the zero-copy mapped mode serves).
@@ -432,10 +365,9 @@ func (di *DiskIndex) Meta() QuerierMeta {
 		Nodes: di.n,
 		C:     di.d.Meta().C(),
 		Eps:   di.d.Meta().ErrorBound(),
-		// Resident metadata plus the graph and the entry-cache budget
-		// (MaxBytes, not current occupancy, so catalog admission accounts
-		// the cache's worst case up front).
-		Bytes: di.d.Meta().Bytes() + di.d.Meta().Graph().Bytes() + di.d.CacheStats().MaxBytes,
+		// Resident metadata plus the graph. Mapped entry pages belong to
+		// the OS page cache and are not counted.
+		Bytes: di.d.Meta().Bytes() + di.d.Meta().Graph().Bytes(),
 	}
 }
 
@@ -451,13 +383,8 @@ func (di *DiskIndex) C() float64 { return di.d.Meta().C() }
 // NumEntries returns the number of HP entries resident on disk.
 func (di *DiskIndex) NumEntries() int64 { return di.d.NumEntries() }
 
-// Bytes returns the memory-resident footprint (metadata only; the entry
-// cache is accounted separately in CacheStats).
+// Bytes returns the memory-resident footprint (metadata only).
 func (di *DiskIndex) Bytes() int64 { return di.d.Meta().Bytes() }
-
-// CacheStats reports entry-cache counters (zeros when no cache was
-// configured).
-func (di *DiskIndex) CacheStats() DiskCacheStats { return di.d.CacheStats() }
 
 // Close releases the underlying file.
 func (di *DiskIndex) Close() error { return di.d.Close() }

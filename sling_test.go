@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"math"
+	"os"
 	"sync"
 	"testing"
 
@@ -668,10 +670,10 @@ func diskTestIndex(t *testing.T, g *Graph, seed uint64, o *DiskOptions) (*Index,
 // The acceptance bar for the concurrent disk engine: >= 8 goroutines of
 // mixed disk queries (single-pair, single-source, top-k, source-top,
 // batch) against one shared DiskIndex, byte-identical to the in-memory
-// index, with the entry cache on. Run under -race in CI.
+// index. Run under -race in CI.
 func TestDiskIndexConcurrentMixedQueries(t *testing.T) {
 	g := testGraph(60, 360, 26)
-	ix, di := diskTestIndex(t, g, 27, &DiskOptions{CacheBytes: 1 << 20, Workers: 4})
+	ix, di := diskTestIndex(t, g, 27, &DiskOptions{Workers: 4})
 	wantPair := mustPair(t, ix, 4, 11)
 	wantVec := mustSource(t, ix, 9)
 	wantTop := mustTopK(t, ix, 3, 6)
@@ -743,35 +745,55 @@ func TestDiskIndexConcurrentMixedQueries(t *testing.T) {
 	if msg, bad := <-errs; bad {
 		t.Fatal(msg)
 	}
-	if st := di.CacheStats(); st.Hits == 0 {
-		t.Fatalf("entry cache never hit under a hot loop: %+v", st)
-	}
 }
 
-// Cached and uncached disk indexes must agree with memory and each
-// other; the cache must actually serve hits on re-query.
-func TestOpenDiskCachedEquivalence(t *testing.T) {
-	g := testGraph(40, 240, 28)
-	ix, plain := diskTestIndex(t, g, 29, nil)
-	_, cached := diskTestIndex(t, g, 29, &DiskOptions{CacheBytes: 2 << 20})
-	for pass := 0; pass < 2; pass++ {
-		for i := NodeID(0); i < 40; i += 3 {
-			for j := NodeID(0); j < 40; j += 5 {
-				want := mustPair(t, ix, i, j)
-				a := mustPair(t, plain, i, j)
-				b := mustPair(t, cached, i, j)
-				if a != want || b != want {
-					t.Fatalf("s(%d,%d): plain %v cached %v memory %v", i, j, a, b, want)
-				}
-			}
+// A positioned-read fault after open is an error on every query family,
+// never a score. The entries region is truncated away under an open
+// ReadAt index, so every fetch reads past the end of the file. A mapped
+// index is out of scope: truncating a mapped file is SIGBUS by design.
+func TestDiskReadAtFaultIsError(t *testing.T) {
+	g := testGraph(40, 240, 32)
+	ix, err := Build(g, WithEps(0.06), WithSeed(33))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := t.TempDir() + "/fault.sling"
+	if err := ix.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	di, err := OpenDiskWithOptions(path, g, &DiskOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer di.Close()
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, st.Size()-16*di.NumEntries()); err != nil {
+		t.Fatal(err)
+	}
+	check := func(family string, gotAnswer bool, err error) {
+		t.Helper()
+		if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("%s: err = %v, want io.EOF or io.ErrUnexpectedEOF", family, err)
+		}
+		if gotAnswer {
+			t.Errorf("%s returned an answer beside its error", family)
 		}
 	}
-	if st := cached.CacheStats(); st.Hits == 0 || st.Entries == 0 {
-		t.Fatalf("cache inactive: %+v", st)
-	}
-	if st := plain.CacheStats(); st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("uncached index counted cache traffic: %+v", st)
-	}
+	score, err := di.SimRank(bg, 3, 7)
+	check("SimRank", score != 0, err)
+	vec, err := di.SingleSource(bg, 3, nil)
+	check("SingleSource", vec != nil, err)
+	top, err := di.TopK(bg, 3, 5)
+	check("TopK", top != nil, err)
+	top, err = di.SourceTop(bg, 3, 5)
+	check("SourceTop", top != nil, err)
+	frag, err := di.Fragment(bg, 3)
+	check("Fragment", frag != nil, err)
+	rows, err := di.SingleSourceBatch(bg, []NodeID{1, 2, 3, 4, 5})
+	check("SingleSourceBatch", rows != nil, err)
 }
 
 // Facade disk TopK/SourceTop/batch must mirror the in-memory facade.
