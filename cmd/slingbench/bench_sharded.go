@@ -1,11 +1,12 @@
 package main
 
-// The sharded experiment bounds the scatter/gather serving tier
+// The sharded experiment bounds the sharded serving tier
 // (internal/shard): one dataset served unsharded and at increasing
-// in-process shard counts, measuring what the fan-out costs per query
+// in-process shard counts, measuring what the routing costs per query
 // family. Pair queries touch at most two shards; single-source and
-// top-k broadcast to all of them, so their latency tracks the slowest
-// shard plus the merge. Not a paper figure — SLING the paper serves one
+// top-k go to the source's owner alone, which propagates once over the
+// whole graph, so their latency tracks one shard plus the router's
+// fragment round trip. Not a paper figure — SLING the paper serves one
 // index — but it pins the router's overhead and writes
 // BENCH_sharded.json so CI trend-lines QPS vs shard count.
 

@@ -29,15 +29,15 @@
 // rebuild epoch swaps write snapshots, and POST /snapshot checkpoints on
 // demand.
 //
-// With -shards the server routes by scatter/gather over a sharded
-// deployment: the manifest (written by `slingtool shard split`) assigns
-// each shard a contiguous node range and either a per-shard SLIX file
-// (served in-process) or a base URL of a remote slingserver whose
-// /shard endpoints it drives. Pair queries join the two endpoints'
-// index fragments, single-source broadcasts the source fragment and
-// gathers per-shard score slices, and top-k merges per-shard k-pruned
-// lists — all bitwise-identical to serving the unsharded index. GET
-// /metrics exposes per-shard fan-out latency and error series.
+// With -shards the server routes queries across a sharded deployment:
+// the manifest (written by `slingtool shard split`) assigns each shard a
+// contiguous node range and either a per-shard SLIX file (served
+// in-process) or a base URL of a remote slingserver whose /shard
+// endpoints it drives. Pair queries join the two endpoints' index
+// fragments at the router; single-source and top-k queries go to the
+// source's owner shard, which propagates the source's fragment once
+// over the whole graph — all bitwise-identical to serving the unsharded
+// index. GET /metrics exposes per-shard call latency and error series.
 //
 // With -catalog the server is multi-tenant: the JSON manifest declares
 // many graphs (each memory, disk, or dynamic), lazily opened on first
@@ -92,7 +92,7 @@ func main() {
 	durableDir := flag.String("durable", "", "durable state directory for -dynamic mode: updates journal to a WAL there, rebuilds snapshot, and restart restores instead of rebuilding")
 	durableNoSync := flag.Bool("durable-nosync", false, "skip fsync on WAL appends (faster; crash may lose the unsynced tail)")
 	catalogPath := flag.String("catalog", "", "graph-catalog manifest (JSON); serves many graphs, routing by /g/{id}/")
-	shardsPath := flag.String("shards", "", "shard routing manifest (slingtool shard split); serves scatter/gather over per-shard indexes")
+	shardsPath := flag.String("shards", "", "shard routing manifest (slingtool shard split); routes queries across per-shard indexes")
 	flag.Parse()
 
 	if *shardsPath != "" {
@@ -264,10 +264,10 @@ func main() {
 	serve(*addr, handler)
 }
 
-// newSharded assembles the scatter/gather router from a shard manifest:
-// the shared graph, one client per shard (in-process over a SLIX file,
-// or remote over HTTP), and a server whose registry also carries the
-// router's per-shard fan-out instruments.
+// newSharded assembles the sharded router from a shard manifest: the
+// shared graph, one client per shard (in-process over a SLIX file, or
+// remote over HTTP), and a server whose registry also carries the
+// router's per-shard call instruments.
 func newSharded(manifestPath string, cfg server.Config) (http.Handler, *shard.Querier, error) {
 	m, err := shard.Load(manifestPath)
 	if err != nil {

@@ -258,10 +258,11 @@ func NewStaticSet(g *sling.Graph, opt *sling.Options, dir string, withHTTP bool)
 	set.Others = append(set.Others, NamedBackend(ooc, "ooc"))
 	set.BuildMS["ooc"] = ms
 
-	// Scatter/gather over in-process shard slices of the reference index:
-	// the router (fragment routing, broadcast, k-pruned merge) must be
-	// bitwise-invisible. conformanceShards exceeds 1 so cross-shard pairs
-	// and merges are actually exercised (Plan clamps on tiny graphs).
+	// Sharded routing over in-process shard slices of the reference index:
+	// the router (fragment routing, router-side pair joins, owner-computed
+	// single-source and top-k) must be bitwise-invisible.
+	// conformanceShards exceeds 1 so cross-shard pairs and sources on
+	// every owner are actually exercised (Plan clamps on tiny graphs).
 	sq, ms, err := timed(func() (*shard.Querier, error) {
 		m, clients := shard.InProcess(ix, conformanceShards)
 		return shard.New(m, clients, nil)
@@ -286,7 +287,7 @@ func NewStaticSet(g *sling.Graph, opt *sling.Options, dir string, withHTTP bool)
 		}
 		set.Others = append(set.Others, NewHTTPBackend("http-disk", diskSrv, n, false))
 
-		// The same scatter/gather router, but with every shard behind its
+		// The same sharded router, but with every shard behind its
 		// own HTTP server's /shard routes — the remote deployment shape.
 		hsq, ms, err := timed(func() (*shard.Querier, error) {
 			hm := &shard.Manifest{Version: shard.ManifestVersion, Nodes: n, C: ix.C(), Eps: ix.ErrorBound()}

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
+	"math"
+
 	"sling/internal/graph"
 )
 
-// Shard-side primitives for scatter/gather serving.
+// Shard-side primitives for sharded serving.
 //
 // A shard index is a Slice of the full index: the complete O(n) metadata
 // (graph binding, parameters, d̃, reduced flags) with HP entries kept only
@@ -16,12 +19,9 @@ import (
 //     owning it and join locally — FragmentOf carries the d̃ value per
 //     entry so the join needs no index at all (JoinScoreD);
 //   - single-source propagation (Algorithm 6) reads only the graph, d̃,
-//     and the parameters, which every shard holds in full, so any shard
-//     can propagate a broadcast fragment exactly and return its slice of
-//     the score vector;
-//   - top-k selection has a total deterministic order (WorseThan), so
-//     per-shard top-k answers over a partition of the node range merge
-//     losslessly.
+//     and the parameters, which every shard holds in full, so the shard
+//     owning u can propagate u's fragment over the whole graph and answer
+//     single-source and top-k queries for u on its own.
 //
 // Every path reuses the single-index query code verbatim, so sharded
 // answers are bitwise-identical to the unsharded reference.
@@ -31,7 +31,7 @@ import (
 // exactly as queries see it) into freshly allocated slices, plus the d̃
 // value of each entry's meeting node. Unlike gather, the result never
 // aliases index storage or scratch, so it can outlive both — the shape a
-// scatter/gather router ships between shards.
+// sharded router ships between shards.
 func (x *Index) FragmentOf(u graph.NodeID, s *Scratch) (keys []uint64, vals, dvals []float64) {
 	if s == nil {
 		s = x.NewScratch()
@@ -90,13 +90,13 @@ func JoinScoreD(ku []uint64, vu, du []float64, kv []uint64, vv []float64) float6
 }
 
 // Slice returns a shard index owning the contiguous node range [lo, hi):
-// the full graph binding, parameters, d̃, and reduced flags (all O(n) and
-// needed to gather owned fragments and propagate broadcast ones), with HP
-// entries and enhancement marks kept only for the owned nodes. The
-// returned index shares the graph with the receiver but copies every
-// array it keeps, serializes as a standard SLIX file, and answers
-// identically to the full index for any query that touches only owned
-// entries. lo and hi are clamped into [0, n].
+// the full graph binding, parameters, d̃, and reduced flags (all O(n),
+// needed to gather owned fragments and propagate them over the whole
+// graph), with HP entries and enhancement marks kept only for the owned
+// nodes. The returned index shares the graph with the receiver but
+// copies every array it keeps, serializes as a standard SLIX file, and
+// answers identically to the full index for any query that touches only
+// owned entries. lo and hi are clamped into [0, n].
 func (x *Index) Slice(lo, hi int) *Index {
 	n := len(x.d)
 	if lo < 0 {
@@ -152,6 +152,32 @@ func (p *ScratchPool) Fragment(u graph.NodeID) (keys []uint64, vals, dvals []flo
 	}
 	p.PutScratch(s)
 	return keys, vals, dvals, err
+}
+
+// CheckFragment rejects keys and vals that no gather of this index could
+// have produced, before they reach propagation: mismatched lengths, a
+// meeting node outside the graph, a step deeper than any a gather emits
+// (maxStoredStep+2; propagation hops once per step), or a value that is
+// negative or not finite. A fragment from outside the process passes
+// through here before SourceSlice or TopSlice.
+func (p *ScratchPool) CheckFragment(keys []uint64, vals []float64) error {
+	if len(keys) != len(vals) {
+		return fmt.Errorf("fragment has %d keys but %d values", len(keys), len(vals))
+	}
+	n := p.x.g.NumNodes()
+	maxStep := maxStoredStep(p.x.prm.sqrtC, p.x.prm.theta) + 2
+	for i, key := range keys {
+		if k := keyNode(key); k < 0 || int(k) >= n {
+			return fmt.Errorf("fragment entry %d names node %d of a %d-node graph", i, k, n)
+		}
+		if l := keyStep(key); l > maxStep {
+			return fmt.Errorf("fragment entry %d has step %d, deeper than %d", i, l, maxStep)
+		}
+		if v := vals[i]; !(v >= 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("fragment entry %d has value %v", i, v)
+		}
+	}
+	return nil
 }
 
 // SourceSlice propagates an already-gathered fragment (Algorithm 6 over

@@ -79,8 +79,8 @@ func (x *Index) SingleSourceFrom(keys []uint64, vals []float64, s *SourceScratch
 }
 
 // sliceFrom is SingleSourceFrom restricted to the nodes in [lo, hi),
-// returned as a fresh hi-lo vector: the shard-side half of
-// scatter/gather single-source.
+// returned as a fresh hi-lo vector: the owner shard's side of a sharded
+// single-source query.
 func (x *Index) sliceFrom(keys []uint64, vals []float64, lo, hi int, s *SourceScratch) []float64 {
 	out := make([]float64, hi-lo)
 	x.propagate(keys, vals, s, s.acc)

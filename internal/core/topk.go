@@ -29,8 +29,8 @@ type TopEntry struct {
 
 // WorseThan reports whether a ranks strictly behind b in top-k order.
 // Ordering is total and deterministic: higher score first, ties broken by
-// smaller node ID. It is exported so scatter/gather layers can merge
-// per-shard top-k lists with exactly the selection order used here.
+// smaller node ID. It is exported so the sharded router can check a
+// shard's top list against exactly the selection order used here.
 func (a TopEntry) WorseThan(b TopEntry) bool {
 	if a.Score != b.Score {
 		return a.Score < b.Score
@@ -46,8 +46,8 @@ func SelectTop(scores []float64, k int, skip graph.NodeID) []TopEntry {
 	return SelectTopRange(scores, k, skip, 0, len(scores))
 }
 
-// SelectTopRange is SelectTop restricted to the nodes in [lo, hi): the
-// per-shard half of a scatter/gather top-k. Because SelectTop's order is
+// SelectTopRange is SelectTop restricted to the nodes in [lo, hi).
+// Because SelectTop's order is
 // total and every node belongs to exactly one range, concatenating the
 // SelectTopRange results of a partition of [0, n), sorting by WorseThan,
 // and truncating to k reproduces SelectTop(scores, k, skip) exactly —

@@ -1,8 +1,8 @@
 // Package httpclient is the SLING Querier-over-the-wire adapter: it
 // drives the package server's HTTP+JSON API — in-process through an
 // http.Handler or over the network through an *http.Client — as a
-// sling.Querier, plus the shard fragment endpoints a scatter/gather
-// router needs. It is the one HTTP client shape in the repository,
+// sling.Querier, plus the shard fragment endpoints the sharded router
+// needs. It is the one HTTP client shape in the repository,
 // shared by the conformance matrix (which wraps it with a report label)
 // and the remote shard client.
 //

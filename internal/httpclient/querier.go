@@ -154,8 +154,8 @@ type sliceReq struct {
 	Hi       int             `json:"hi"`
 }
 
-// SourceSlice broadcasts a fragment to POST /shard/source and returns
-// the shard's [lo, hi) score slice.
+// SourceSlice sends a fragment to POST /shard/source and returns the
+// [lo, hi) slice of its score vector.
 func (c *Client) SourceSlice(ctx context.Context, f *sling.Fragment, lo, hi int) ([]float64, error) {
 	body, err := json.Marshal(sliceReq{Fragment: f, Lo: lo, Hi: hi})
 	if err != nil {
@@ -173,8 +173,8 @@ func (c *Client) SourceSlice(ctx context.Context, f *sling.Fragment, lo, hi int)
 	return resp.Scores, nil
 }
 
-// TopSlice asks POST /shard/top for the shard's k-pruned local top list
-// over [lo, hi).
+// TopSlice asks POST /shard/top for a fragment's top-k list over
+// [lo, hi).
 func (c *Client) TopSlice(ctx context.Context, f *sling.Fragment, k int, skip sling.NodeID, lo, hi int) ([]sling.Scored, error) {
 	body, err := json.Marshal(sliceReq{Fragment: f, K: k, Skip: int64(skip), Lo: lo, Hi: hi})
 	if err != nil {

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -10,8 +12,8 @@ import (
 	"sling"
 )
 
-// Shard fragment endpoints: the wire form of sling.ShardBackend, which a
-// scatter/gather router (internal/shard) drives on remote shard servers.
+// Shard fragment endpoints: the wire form of sling.ShardBackend, which
+// the sharded router (internal/shard) drives on remote shard servers.
 // They are registered whenever the backend implements ShardBackend (the
 // in-memory and disk indexes do), alongside the ordinary query routes:
 //
@@ -76,6 +78,19 @@ func (t *tenant) shardSliceBody(w http.ResponseWriter, r *http.Request) (*shardS
 	return &req, true
 }
 
+// sliceError answers a failed /shard/source or /shard/top call. The
+// slices propagate over memory-resident metadata and fetch nothing, so
+// apart from the request's own context every failure is a rejection of
+// the request itself — bad bounds or a malformed fragment — and is a
+// 400.
+func (t *tenant) sliceError(w http.ResponseWriter, r *http.Request, err error) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		t.queryError(w, r, err)
+		return
+	}
+	httpErrorFor(w, http.StatusBadRequest, err)
+}
+
 func (t *tenant) handleShardSource(w http.ResponseWriter, r *http.Request) {
 	req, ok := t.shardSliceBody(w, r)
 	if !ok {
@@ -86,7 +101,7 @@ func (t *tenant) handleShardSource(w http.ResponseWriter, r *http.Request) {
 	}
 	scores, err := t.sb.SourceSlice(r.Context(), req.Fragment, req.Lo, req.Hi)
 	if err != nil {
-		t.queryError(w, r, err)
+		t.sliceError(w, r, err)
 		return
 	}
 	if scores == nil {
@@ -105,7 +120,7 @@ func (t *tenant) handleShardTop(w http.ResponseWriter, r *http.Request) {
 	}
 	top, err := t.sb.TopSlice(r.Context(), req.Fragment, req.K, sling.NodeID(req.Skip), req.Lo, req.Hi)
 	if err != nil {
-		t.queryError(w, r, err)
+		t.sliceError(w, r, err)
 		return
 	}
 	out := make([]ScoredNode, len(top))

@@ -10,10 +10,12 @@ import (
 
 // Client is one shard as the router sees it: the three fragment
 // primitives of sling.ShardBackend plus a Close releasing whatever the
-// transport holds. The two implementations are a local in-process
-// backend and the HTTP client driving a remote slingserver's /shard
-// routes — the router cannot tell them apart, which is what lets the
-// conformance matrix hold the HTTP deployment to bitwise equality.
+// transport holds. The router calls Fragment on a node's owner, and
+// SourceSlice or TopSlice over [0, n) on the same owner. The two
+// implementations are a local in-process backend and the HTTP client
+// driving a remote slingserver's /shard routes — the router cannot tell
+// them apart, which is what lets the conformance matrix hold the HTTP
+// deployment to bitwise equality.
 type Client interface {
 	Fragment(ctx context.Context, u sling.NodeID) (*sling.Fragment, error)
 	SourceSlice(ctx context.Context, f *sling.Fragment, lo, hi int) ([]float64, error)

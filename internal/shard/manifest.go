@@ -1,7 +1,9 @@
-// Package shard is the scatter/gather serving tier: it partitions the
-// node space into contiguous ranges, each served by a per-shard SLIX
-// index (full O(n) metadata, HP entries only for the owned range), and
-// routes queries across them behind one sling.Querier.
+// Package shard is the sharded serving tier: it partitions the node
+// space into contiguous ranges, each served by a per-shard SLIX index
+// (full O(n) metadata, HP entries only for the owned range), and routes
+// queries across them behind one sling.Querier. A pair query joins two
+// owners' fragments at the router; a single-source or top-k query is
+// answered whole by the source's owner.
 //
 // Shard assignment balances index bytes, not node counts — real graphs
 // have heavily skewed degree and index mass, so an even node split can

@@ -14,34 +14,31 @@ import (
 	"sling/internal/metrics"
 )
 
-// Instrument names for the scatter/gather fan-out. Every series carries
-// a "shard" label with the shard's decimal ID.
+// Instrument names for the router's shard calls. Every series carries a
+// "shard" label with the shard's decimal ID.
 const (
 	// MetricFanout is the per-shard call latency histogram.
 	MetricFanout = "sling_shard_fanout_seconds"
-	// MetricErrors counts failed per-shard calls.
+	// MetricErrors counts failed per-shard calls, including answers the
+	// router rejects as malformed.
 	MetricErrors = "sling_shard_errors_total"
 )
 
-// Querier routes sling.Querier calls across shards by scatter/gather:
+// Querier routes sling.Querier calls to shards by node ownership:
 //
 //   - SimRank fetches the two endpoints' fragments from their owner
-//     shards (in parallel when they differ) and merge-joins them at the
-//     router — a two-shard join.
-//   - SingleSource fetches the source fragment from its owner, then
-//     broadcasts it: every shard propagates the fragment over its own
-//     node range and returns that score slice, which the router
-//     assembles into the full vector.
-//   - TopK/SourceTop broadcast the same fragment but gather per-shard
-//     local top-k lists — k-pruning inside each shard — and merge them.
-//     Each shard's list is its true local top-k under the global
-//     deterministic order and shards partition the node space, so the
-//     merged head equals the unsharded top-k exactly.
-//   - SingleSourceBatch groups sources by owner shard and runs the
-//     groups as units, observing ctx between units.
+//     shards and merge-joins them at the router — a two-shard join.
+//   - SingleSource, TopK and SourceTop go to u's owner alone. The router
+//     fetches u's fragment from the owner and hands it back to the same
+//     owner's SourceSlice or TopSlice over [0, n). Propagation reads only
+//     the graph, d̃ and the parameters, which every shard holds in full,
+//     so the owner answers for the whole graph with one propagation, and
+//     the router returns that answer as is once its shape checks out.
+//   - SingleSourceBatch groups sources by owner and serves each shard's
+//     group on its own goroutine, so shards work on different sources in
+//     parallel, observing ctx between units.
 //
-// Per-shard metadata is full-size, so any shard can propagate any
-// fragment with the exact single-index arithmetic; answers are
+// Each shard runs the unsharded index's query code, so answers are
 // bitwise-identical to the unsharded reference.
 //
 // The zero Querier is not valid; use New.
@@ -56,9 +53,9 @@ type Querier struct {
 var _ sling.Querier = (*Querier)(nil)
 
 // New validates the manifest against the client set and returns the
-// router. reg receives the per-shard fan-out instruments (nil for a
-// private registry). The Querier takes ownership of the clients: Close
-// closes them all.
+// router. reg receives the per-shard call instruments (nil for a private
+// registry). The Querier takes ownership of the clients: Close closes
+// them all.
 func New(m *Manifest, clients []Client, reg *metrics.Registry) (*Querier, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -78,8 +75,8 @@ func New(m *Manifest, clients []Client, reg *metrics.Registry) (*Querier, error)
 	}
 	for i := range clients {
 		id := metrics.L("shard", strconv.Itoa(i))
-		q.fanout[i] = reg.Histogram(MetricFanout, "Latency of per-shard scatter/gather calls.", metrics.LatencyBuckets, id)
-		q.errs[i] = reg.Counter(MetricErrors, "Failed per-shard scatter/gather calls.", id)
+		q.fanout[i] = reg.Histogram(MetricFanout, "Latency of the router's per-shard calls.", metrics.LatencyBuckets, id)
+		q.errs[i] = reg.Counter(MetricErrors, "Failed or malformed per-shard calls.", id)
 	}
 	return q, nil
 }
@@ -107,12 +104,12 @@ func (q *Querier) checkNodes(us []sling.NodeID) error {
 	return nil
 }
 
-// groupByShard buckets source indexes by owner shard, so batch fragment
-// fetches hit shards in locality order.
+// groupByShard buckets source indexes by owner shard.
 func (q *Querier) groupByShard(us []sling.NodeID) [][]int {
 	byShard := make([][]int, len(q.clients))
 	for i, u := range us {
-		byShard[q.shardOf(u)] = append(byShard[q.shardOf(u)], i)
+		s := q.shardOf(u)
+		byShard[s] = append(byShard[s], i)
 	}
 	return byShard
 }
@@ -125,34 +122,20 @@ func (q *Querier) observe(shard int, start time.Time, err error) {
 	}
 }
 
-// fragment fetches u's fragment from its owner shard.
-func (q *Querier) fragment(ctx context.Context, u sling.NodeID) (*sling.Fragment, error) {
-	s := q.shardOf(u)
+// fragment fetches u's fragment from its owner shard s. A fragment that
+// is not u's, or whose three columns differ in length, is an error: the
+// router-side join indexes the columns in lockstep.
+func (q *Querier) fragment(ctx context.Context, s int, u sling.NodeID) (*sling.Fragment, error) {
 	start := time.Now()
 	f, err := q.clients[s].Fragment(ctx, u)
+	if err == nil && (f == nil || f.Node != u || len(f.Vals) != len(f.Keys) || len(f.DVals) != len(f.Keys)) {
+		err = fmt.Errorf("shard %d answered a malformed fragment for node %d", s, u)
+	}
 	q.observe(s, start, err)
-	return f, err
-}
-
-// scatter runs fn once per shard concurrently and returns the
-// lowest-shard error, so a multi-shard failure reports deterministically.
-func (q *Querier) scatter(fn func(i int, s ShardInfo) error) error {
-	errs := make([]error, len(q.clients))
-	var wg sync.WaitGroup
-	for i := range q.clients {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = fn(i, q.man.Shards[i])
-		}(i)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return f, nil
 }
 
 // SimRank joins the two endpoints' fragments at the router.
@@ -166,46 +149,42 @@ func (q *Querier) SimRank(ctx context.Context, u, v sling.NodeID) (float64, erro
 	if err := q.checkNode(v); err != nil {
 		return 0, err
 	}
-	var fu, fv *sling.Fragment
-	var err error
-	if fu, err = q.fragment(ctx, u); err != nil {
+	fu, err := q.fragment(ctx, q.shardOf(u), u)
+	if err != nil {
 		return 0, err
 	}
-	if u == v {
-		fv = fu
-	} else if fv, err = q.fragment(ctx, v); err != nil {
-		return 0, err
+	fv := fu
+	if u != v {
+		if fv, err = q.fragment(ctx, q.shardOf(v), v); err != nil {
+			return 0, err
+		}
 	}
 	return sling.JoinFragments(fu, fv), nil
 }
 
-// singleSource is the shared scatter/gather core of SingleSource and
-// SingleSourceBatch: fetch u's fragment, broadcast it, assemble slices.
+// singleSource has u's owner propagate u's fragment over the whole graph
+// and return the full score vector, copied into out when it has
+// capacity n.
 func (q *Querier) singleSource(ctx context.Context, u sling.NodeID, out []float64) ([]float64, error) {
-	f, err := q.fragment(ctx, u)
+	s := q.shardOf(u)
+	f, err := q.fragment(ctx, s, u)
+	if err != nil {
+		return nil, err
+	}
+	start := time.Now()
+	scores, err := q.clients[s].SourceSlice(ctx, f, 0, q.n)
+	if err == nil && len(scores) != q.n {
+		err = fmt.Errorf("shard %d returned %d scores for %d nodes", s, len(scores), q.n)
+	}
+	q.observe(s, start, err)
 	if err != nil {
 		return nil, err
 	}
 	if cap(out) < q.n {
-		out = make([]float64, q.n)
+		return scores, nil
 	}
 	out = out[:q.n]
-	err = q.scatter(func(i int, s ShardInfo) error {
-		start := time.Now()
-		scores, serr := q.clients[i].SourceSlice(ctx, f, s.Lo, s.Hi)
-		q.observe(i, start, serr)
-		if serr != nil {
-			return serr
-		}
-		if len(scores) != s.Hi-s.Lo {
-			return fmt.Errorf("shard %d returned %d scores for range [%d,%d)", i, len(scores), s.Lo, s.Hi)
-		}
-		copy(out[s.Lo:s.Hi], scores)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
+	copy(out, scores)
 	return out, nil
 }
 
@@ -219,9 +198,11 @@ func (q *Querier) SingleSource(ctx context.Context, u sling.NodeID, out []float6
 	return q.singleSource(ctx, u, out)
 }
 
-// SingleSourceBatch validates every source first, then serves them
-// grouped by owner shard (fragment fetches hit shards in locality
-// order), observing ctx between units.
+// SingleSourceBatch validates every source first, then serves the
+// sources grouped by owner shard, one goroutine per shard. ctx is
+// observed between units. The first unit to fail stops every shard's
+// loop between units, and the batch returns that failure, or ctx.Err()
+// when the caller cancelled; the router's own stop is never reported.
 func (q *Querier) SingleSourceBatch(ctx context.Context, us []sling.NodeID) ([][]float64, error) {
 	if err := core.CtxErr(ctx); err != nil {
 		return nil, err
@@ -229,41 +210,84 @@ func (q *Querier) SingleSourceBatch(ctx context.Context, us []sling.NodeID) ([][
 	if err := q.checkNodes(us); err != nil {
 		return nil, err
 	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	rows := make([][]float64, len(us))
+	bctx, stop := context.WithCancel(ctx)
+	defer stop()
+	var (
+		wg    sync.WaitGroup
+		once  sync.Once
+		first error
+	)
 	for _, idxs := range q.groupByShard(us) {
-		for _, i := range idxs {
-			if err := core.CtxErr(ctx); err != nil {
-				return nil, err
-			}
-			row, err := q.singleSource(ctx, us[i], nil)
-			if err != nil {
-				return nil, err
-			}
-			rows[i] = row
+		if len(idxs) == 0 {
+			continue
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, i := range idxs {
+				err := bctx.Err()
+				if err == nil {
+					rows[i], err = q.singleSource(bctx, us[i], nil)
+				}
+				if err != nil {
+					// Recorded before stop, so a unit that fails
+					// because of stop never becomes first.
+					once.Do(func() { first = err; stop() })
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if first != nil {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return nil, first
 	}
 	return rows, nil
 }
 
-// topMerge broadcasts u's fragment, gathers each shard's k-pruned local
-// top list over its own range, and merges. skip < 0 keeps every node.
-func (q *Querier) topMerge(ctx context.Context, u sling.NodeID, k int, skip sling.NodeID) ([]sling.Scored, error) {
-	f, err := q.fragment(ctx, u)
+// top has u's owner select the k best nodes of the whole graph other
+// than skip from u's fragment. skip < 0 keeps every node.
+func (q *Querier) top(ctx context.Context, u sling.NodeID, k int, skip sling.NodeID) ([]sling.Scored, error) {
+	s := q.shardOf(u)
+	f, err := q.fragment(ctx, s, u)
 	if err != nil {
 		return nil, err
 	}
-	lists := make([][]sling.Scored, len(q.clients))
-	err = q.scatter(func(i int, s ShardInfo) error {
-		start := time.Now()
-		top, serr := q.clients[i].TopSlice(ctx, f, k, skip, s.Lo, s.Hi)
-		q.observe(i, start, serr)
-		lists[i] = top
-		return serr
-	})
+	start := time.Now()
+	top, err := q.clients[s].TopSlice(ctx, f, k, skip, 0, q.n)
+	if err == nil {
+		err = q.checkTop(s, top, k, skip)
+	}
+	q.observe(s, start, err)
 	if err != nil {
 		return nil, err
 	}
-	return sling.MergeTop(lists, k), nil
+	return top, nil
+}
+
+// checkTop rejects a top list shard s's selection could not have
+// produced: more than k entries, a node outside the graph or equal to
+// skip, or entries out of best-first order.
+func (q *Querier) checkTop(s int, top []sling.Scored, k int, skip sling.NodeID) error {
+	if len(top) > k {
+		return fmt.Errorf("shard %d returned %d top entries for k=%d", s, len(top), k)
+	}
+	for i, e := range top {
+		if e.Node < 0 || int(e.Node) >= q.n || e.Node == skip {
+			return fmt.Errorf("shard %d top entry %d names node %d (n=%d, skip=%d)", s, i, e.Node, q.n, skip)
+		}
+		if i > 0 && !e.WorseThan(top[i-1]) {
+			return fmt.Errorf("shard %d top entry %d is out of order", s, i)
+		}
+	}
+	return nil
 }
 
 func (q *Querier) TopK(ctx context.Context, u sling.NodeID, k int) ([]sling.Scored, error) {
@@ -276,7 +300,7 @@ func (q *Querier) TopK(ctx context.Context, u sling.NodeID, k int) ([]sling.Scor
 	if err := q.checkNode(u); err != nil {
 		return nil, err
 	}
-	return q.topMerge(ctx, u, k, u)
+	return q.top(ctx, u, k, u)
 }
 
 func (q *Querier) SourceTop(ctx context.Context, u sling.NodeID, limit int) ([]sling.Scored, error) {
@@ -289,7 +313,7 @@ func (q *Querier) SourceTop(ctx context.Context, u sling.NodeID, limit int) ([]s
 	if err := q.checkNode(u); err != nil {
 		return nil, err
 	}
-	return q.topMerge(ctx, u, limit, -1)
+	return q.top(ctx, u, limit, -1)
 }
 
 // Meta reports the deployment from the manifest; Bytes is the summed

@@ -405,9 +405,16 @@ func TestShardedMetricsAndMeta(t *testing.T) {
 	if _, err := q.SingleSource(bg, 5, nil); err != nil {
 		t.Fatal(err)
 	}
+	// Owner-computes: the owner records the fragment call and the slice
+	// call; no other shard is called.
+	owner := q.shardOf(5)
 	for i, h := range q.fanout {
-		if h.Count() == 0 {
-			t.Fatalf("shard %d saw no fan-out observations", i)
+		want := uint64(0)
+		if i == owner {
+			want = 2
+		}
+		if got := h.Count(); got != want {
+			t.Fatalf("shard %d (owner %d) recorded %d calls, want %d", i, owner, got, want)
 		}
 	}
 	found := 0

@@ -1,25 +1,26 @@
 package sling
 
-// The shard-backend surface of scatter/gather serving. A sharded
-// deployment partitions the node space into contiguous ranges, each
-// served by a shard index (Index.Shard) holding full O(n) metadata but HP
-// entries only for its range. The router (internal/shard) talks to shards
-// through ShardBackend: it fetches a query's endpoint fragments from
-// their owning shards, then either joins them locally (single-pair) or
-// broadcasts a fragment and gathers per-shard score slices or pruned
-// local top-k lists. Every shard-side step reuses the single-index query
-// code, so sharded answers are bitwise-identical to the unsharded index.
+// The shard-backend surface of sharded serving. A sharded deployment
+// partitions the node space into contiguous ranges, each served by a
+// shard index (Index.Shard) holding full O(n) metadata but HP entries
+// only for its range. The router (internal/shard) talks to shards
+// through ShardBackend and routes by ownership: a single-pair query
+// fetches the two endpoint fragments from their owners and joins them
+// locally, and a single-source or top-k query goes to the source's owner
+// alone, which propagates the source's fragment over the whole graph.
+// Every shard-side step reuses the single-index query code, so sharded
+// answers are bitwise-identical to the unsharded index.
 
 import (
 	"context"
 	"errors"
-	"sort"
+	"fmt"
 
 	"sling/internal/core"
 )
 
 // Fragment is one node's effective HP entry list — the unit of transfer
-// in scatter/gather queries. Keys are (step, meeting-node) entry keys
+// in sharded queries. Keys are (step, meeting-node) entry keys
 // sorted ascending, Vals the hitting probabilities, and DVals the d̃
 // correction factor of each entry's meeting node, carried along so a
 // router holding no index can evaluate the Algorithm 3 merge join.
@@ -42,17 +43,20 @@ func checkSlice(n, lo, hi int) error {
 	return nil
 }
 
-// ShardBackend is the query surface a shard exposes to a scatter/gather
-// router, beyond the ordinary Querier methods it also serves:
+// ShardBackend is the query surface a shard exposes to a router, beyond
+// the ordinary Querier methods it also serves:
 //
 //   - Fragment returns a node's gathered HP entries. Only the shard
 //     owning the node holds them; routers must route by the manifest.
-//   - SourceSlice propagates a (possibly remote) fragment through the
-//     shard's full graph and returns the [lo, hi) slice of the score
-//     vector — the shard's share of a single-source answer.
-//   - TopSlice is SourceSlice followed by local top-k selection over
-//     [lo, hi) with the global ordering, so per-shard k-pruned lists
-//     merge losslessly.
+//   - SourceSlice propagates a fragment through the shard's full graph
+//     and returns the [lo, hi) slice of the score vector. Over [0, n) it
+//     is the whole single-source answer.
+//   - TopSlice is SourceSlice followed by top-k selection over [lo, hi)
+//     in the global order. Over [0, n) it is the whole top-k answer.
+//
+// Both slice methods reject a fragment no gather of this index could
+// have produced, so a malformed one from outside the process is an
+// error, not a panic or a runaway propagation.
 //
 // *Index and *DiskIndex implement ShardBackend natively.
 type ShardBackend interface {
@@ -98,10 +102,7 @@ func (e *engine) Fragment(ctx context.Context, u NodeID) (*Fragment, error) {
 // SourceSlice implements ShardBackend; propagation runs on the
 // memory-resident metadata, so it costs no I/O.
 func (e *engine) SourceSlice(ctx context.Context, f *Fragment, lo, hi int) ([]float64, error) {
-	if err := core.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	if err := checkSlice(e.n, lo, hi); err != nil {
+	if err := e.checkSliceCall(ctx, f, lo, hi); err != nil {
 		return nil, err
 	}
 	return e.pool.SourceSlice(f.Keys, f.Vals, lo, hi), nil
@@ -109,13 +110,28 @@ func (e *engine) SourceSlice(ctx context.Context, f *Fragment, lo, hi int) ([]fl
 
 // TopSlice implements ShardBackend.
 func (e *engine) TopSlice(ctx context.Context, f *Fragment, k int, skip NodeID, lo, hi int) ([]Scored, error) {
-	if err := core.CtxErr(ctx); err != nil {
-		return nil, err
-	}
-	if err := checkSlice(e.n, lo, hi); err != nil {
+	if err := e.checkSliceCall(ctx, f, lo, hi); err != nil {
 		return nil, err
 	}
 	return e.pool.TopSlice(f.Keys, f.Vals, k, skip, lo, hi), nil
+}
+
+// checkSliceCall validates a SourceSlice or TopSlice call before any
+// propagation: ctx, the slice bounds, and the fragment itself.
+func (e *engine) checkSliceCall(ctx context.Context, f *Fragment, lo, hi int) error {
+	if err := core.CtxErr(ctx); err != nil {
+		return err
+	}
+	if err := checkSlice(e.n, lo, hi); err != nil {
+		return err
+	}
+	if f == nil {
+		return errors.New("sling: nil shard fragment")
+	}
+	if err := e.pool.CheckFragment(f.Keys, f.Vals); err != nil {
+		return fmt.Errorf("sling: malformed shard fragment: %w", err)
+	}
+	return nil
 }
 
 // JoinFragments evaluates the Algorithm 3 merge join of two gathered
@@ -124,20 +140,4 @@ func (e *engine) TopSlice(ctx context.Context, f *Fragment, k int, skip NodeID, 
 // score is bitwise-identical to SimRank on the unsharded index.
 func JoinFragments(u, v *Fragment) float64 {
 	return core.JoinScoreD(u.Keys, u.Vals, u.DVals, v.Keys, v.Vals)
-}
-
-// MergeTop merges per-shard k-pruned top lists into the global top-k:
-// concatenate, sort by the selection order, truncate. Because shard
-// ranges partition the node space, any global top-k member survives its
-// shard's local top-k, so the merge is lossless.
-func MergeTop(lists [][]Scored, k int) []Scored {
-	var all []Scored
-	for _, l := range lists {
-		all = append(all, l...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[j].WorseThan(all[i]) })
-	if k < len(all) {
-		all = all[:k]
-	}
-	return all
 }
