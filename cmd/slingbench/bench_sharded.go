@@ -102,7 +102,7 @@ func runSharded() error {
 	}
 	defer ix.Close()
 
-	fmt.Printf("== Sharded: scatter/gather QPS vs shard count, %s (preset %s, scale %g) ==\n",
+	fmt.Printf("== Sharded: router QPS vs shard count, %s (preset %s, scale %g) ==\n",
 		spec.Name, *presetFlag, *scaleFlag)
 	pairs := workload.RandomPairs(g, *pairsFlag, *seedFlag+41)
 	sources := workload.RandomNodes(g, *sourcesFlag, *seedFlag+43)

@@ -42,9 +42,9 @@
 //	         memory, disk, and dynamic entries of a catalog server,
 //	         driven through the real /g/{id}/simrank HTTP routes; writes
 //	         BENCH_catalog.json (not a paper figure)
-//	sharded  scatter/gather QPS vs shard count: one dataset split into
+//	sharded  sharded-router QPS vs shard count: one dataset split into
 //	         in-process shards behind the internal/shard router, pair /
-//	         single-source / top-k latency at each fan-out width; writes
+//	         single-source / top-k latency at each shard count; writes
 //	         BENCH_sharded.json (not a paper figure)
 //	all      everything above
 //

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 
 	"sling/internal/graph"
 )
@@ -155,10 +154,12 @@ func (p *ScratchPool) Fragment(u graph.NodeID) (keys []uint64, vals, dvals []flo
 }
 
 // CheckFragment rejects keys and vals that no gather of this index could
-// have produced, before they reach propagation: mismatched lengths, a
-// meeting node outside the graph, a step deeper than any a gather emits
-// (maxStoredStep+2; propagation hops once per step), or a value that is
-// negative or not finite. A fragment from outside the process passes
+// have produced, before they reach propagation: mismatched lengths, keys
+// not strictly ascending, a meeting node outside the graph, a step deeper
+// than any a gather emits (maxStoredStep+2), or a value that is not a
+// probability in [0, 1]. Propagation starts a group of ℓ hops wherever
+// the step ℓ changes, so these bounds keep a fragment's work within what
+// a genuine gather's can cost. A fragment from outside the process passes
 // through here before SourceSlice or TopSlice.
 func (p *ScratchPool) CheckFragment(keys []uint64, vals []float64) error {
 	if len(keys) != len(vals) {
@@ -167,13 +168,16 @@ func (p *ScratchPool) CheckFragment(keys []uint64, vals []float64) error {
 	n := p.x.g.NumNodes()
 	maxStep := maxStoredStep(p.x.prm.sqrtC, p.x.prm.theta) + 2
 	for i, key := range keys {
+		if i > 0 && key <= keys[i-1] {
+			return fmt.Errorf("fragment entry %d is not above entry %d", i, i-1)
+		}
 		if k := keyNode(key); k < 0 || int(k) >= n {
 			return fmt.Errorf("fragment entry %d names node %d of a %d-node graph", i, k, n)
 		}
 		if l := keyStep(key); l > maxStep {
 			return fmt.Errorf("fragment entry %d has step %d, deeper than %d", i, l, maxStep)
 		}
-		if v := vals[i]; !(v >= 0) || math.IsInf(v, 1) {
+		if v := vals[i]; !(v >= 0 && v <= 1) {
 			return fmt.Errorf("fragment entry %d has value %v", i, v)
 		}
 	}

@@ -47,11 +47,6 @@ func SelectTop(scores []float64, k int, skip graph.NodeID) []TopEntry {
 }
 
 // SelectTopRange is SelectTop restricted to the nodes in [lo, hi).
-// Because SelectTop's order is
-// total and every node belongs to exactly one range, concatenating the
-// SelectTopRange results of a partition of [0, n), sorting by WorseThan,
-// and truncating to k reproduces SelectTop(scores, k, skip) exactly —
-// per-shard k-pruning never changes the merged answer.
 func SelectTopRange(scores []float64, k int, skip graph.NodeID, lo, hi int) []TopEntry {
 	if k <= 0 || lo >= hi {
 		return nil

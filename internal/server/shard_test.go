@@ -16,7 +16,10 @@ func TestShardSliceRejectsMalformedFragment(t *testing.T) {
 		"node beyond n":       `{"keys":[1000],"vals":[0.5],"dvals":[1]}`,
 		"vals shorter":        `{"keys":[0,1],"vals":[0.5],"dvals":[1,1]}`,
 		"huge step":           fmt.Sprintf(`{"keys":[%d],"vals":[0.5],"dvals":[1]}`, uint64(4000000000)<<32),
+		"steps alternate":     fmt.Sprintf(`{"keys":[%d,%d,%d],"vals":[0.5,0.5,0.5],"dvals":[1,1,1]}`, uint64(2)<<32, uint64(1)<<32|1, uint64(2)<<32|2),
+		"duplicate key":       `{"keys":[1,1],"vals":[0.5,0.5],"dvals":[1,1]}`,
 		"negative value":      `{"keys":[0],"vals":[-0.5],"dvals":[1]}`,
+		"value above one":     `{"keys":[0],"vals":[1.5],"dvals":[1]}`,
 		"value beyond float":  `{"keys":[0],"vals":[1e999],"dvals":[1]}`,
 		"slice beyond graph":  `{"keys":[0],"vals":[0.5],"dvals":[1]}`,
 		"well-formed control": `{"keys":[0],"vals":[0.5],"dvals":[1]}`,

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"sling"
@@ -34,9 +33,9 @@ const (
 //     the graph, d̃ and the parameters, which every shard holds in full,
 //     so the owner answers for the whole graph with one propagation, and
 //     the router returns that answer as is once its shape checks out.
-//   - SingleSourceBatch groups sources by owner and serves each shard's
-//     group on its own goroutine, so shards work on different sources in
-//     parallel, observing ctx between units.
+//   - SingleSourceBatch serves its sources one at a time, grouped by
+//     owner shard, each the way SingleSource serves it, observing ctx
+//     between units.
 //
 // Each shard runs the unsharded index's query code, so answers are
 // bitwise-identical to the unsharded reference.
@@ -104,7 +103,8 @@ func (q *Querier) checkNodes(us []sling.NodeID) error {
 	return nil
 }
 
-// groupByShard buckets source indexes by owner shard.
+// groupByShard buckets source indexes by owner shard, so batch fragment
+// fetches hit shards in locality order.
 func (q *Querier) groupByShard(us []sling.NodeID) [][]int {
 	byShard := make([][]int, len(q.clients))
 	for i, u := range us {
@@ -198,11 +198,9 @@ func (q *Querier) SingleSource(ctx context.Context, u sling.NodeID, out []float6
 	return q.singleSource(ctx, u, out)
 }
 
-// SingleSourceBatch validates every source first, then serves the
-// sources grouped by owner shard, one goroutine per shard. ctx is
-// observed between units. The first unit to fail stops every shard's
-// loop between units, and the batch returns that failure, or ctx.Err()
-// when the caller cancelled; the router's own stop is never reported.
+// SingleSourceBatch validates every source first, then serves them one
+// at a time, grouped by owner shard (each source goes to its owner
+// alone), observing ctx between units.
 func (q *Querier) SingleSourceBatch(ctx context.Context, us []sling.NodeID) ([][]float64, error) {
 	if err := core.CtxErr(ctx); err != nil {
 		return nil, err
@@ -210,44 +208,18 @@ func (q *Querier) SingleSourceBatch(ctx context.Context, us []sling.NodeID) ([][
 	if err := q.checkNodes(us); err != nil {
 		return nil, err
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	rows := make([][]float64, len(us))
-	bctx, stop := context.WithCancel(ctx)
-	defer stop()
-	var (
-		wg    sync.WaitGroup
-		once  sync.Once
-		first error
-	)
 	for _, idxs := range q.groupByShard(us) {
-		if len(idxs) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, i := range idxs {
-				err := bctx.Err()
-				if err == nil {
-					rows[i], err = q.singleSource(bctx, us[i], nil)
-				}
-				if err != nil {
-					// Recorded before stop, so a unit that fails
-					// because of stop never becomes first.
-					once.Do(func() { first = err; stop() })
-					return
-				}
+		for _, i := range idxs {
+			if err := core.CtxErr(ctx); err != nil {
+				return nil, err
 			}
-		}()
-	}
-	wg.Wait()
-	if first != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+			row, err := q.singleSource(ctx, us[i], nil)
+			if err != nil {
+				return nil, err
+			}
+			rows[i] = row
 		}
-		return nil, first
 	}
 	return rows, nil
 }

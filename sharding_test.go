@@ -26,13 +26,16 @@ func TestShardSliceRejectsMalformedFragment(t *testing.T) {
 		t.Fatalf("TopSlice rejected a genuine fragment: %v", err)
 	}
 	bad := map[string]*Fragment{
-		"nil":          nil,
-		"short vals":   {Keys: []uint64{0, 1}, Vals: []float64{0.5}},
-		"node beyond":  {Keys: []uint64{uint64(n)}, Vals: []float64{0.5}},
-		"huge step":    {Keys: []uint64{1 << 62}, Vals: []float64{0.5}},
-		"negative val": {Keys: []uint64{0}, Vals: []float64{-0.5}},
-		"NaN val":      {Keys: []uint64{0}, Vals: []float64{math.NaN()}},
-		"Inf val":      {Keys: []uint64{0}, Vals: []float64{math.Inf(1)}},
+		"nil":             nil,
+		"short vals":      {Keys: []uint64{0, 1}, Vals: []float64{0.5}},
+		"node beyond":     {Keys: []uint64{uint64(n)}, Vals: []float64{0.5}},
+		"huge step":       {Keys: []uint64{1 << 62}, Vals: []float64{0.5}},
+		"steps alternate": {Keys: []uint64{2 << 32, 1<<32 | 1, 2<<32 | 2}, Vals: []float64{0.5, 0.5, 0.5}},
+		"duplicate key":   {Keys: []uint64{1, 1}, Vals: []float64{0.5, 0.5}},
+		"negative val":    {Keys: []uint64{0}, Vals: []float64{-0.5}},
+		"val above one":   {Keys: []uint64{0}, Vals: []float64{1.5}},
+		"NaN val":         {Keys: []uint64{0}, Vals: []float64{math.NaN()}},
+		"Inf val":         {Keys: []uint64{0}, Vals: []float64{math.Inf(1)}},
 	}
 	for name, f := range bad {
 		if _, err := ix.SourceSlice(bg, f, 0, n); err == nil {
