@@ -138,9 +138,9 @@ func TestSingleSourceMatchesSinglePair(t *testing.T) {
 		scores := x.SingleSource(u, ss, nil)
 		for v := graph.NodeID(0); v < 40; v++ {
 			pair := x.SimRank(u, v, qs)
-			// Algorithm 6 prunes with a scaled threshold, so it is not
-			// bit-identical to Algorithm 3, but both carry the ε
-			// guarantee; their gap is bounded by the θ-induced error.
+			// Algorithm 6's fold drops entries ≤ τ_h before each hop, so
+			// it is not bit-identical to Algorithm 3, but both carry the
+			// ε guarantee; their gap is bounded by the θ-induced error.
 			if math.Abs(scores[v]-pair) > x.ErrorBound() {
 				t.Fatalf("Alg6 s(%d,%d)=%v vs Alg3 %v", u, v, scores[v], pair)
 			}

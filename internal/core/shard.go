@@ -156,11 +156,13 @@ func (p *ScratchPool) Fragment(u graph.NodeID) (keys []uint64, vals, dvals []flo
 // CheckFragment rejects keys and vals that no gather of this index could
 // have produced, before they reach propagation: mismatched lengths, keys
 // not strictly ascending, a meeting node outside the graph, a step deeper
-// than any a gather emits (maxStoredStep+2), or a value that is not a
-// probability in [0, 1]. Propagation starts a group of ℓ hops wherever
-// the step ℓ changes, so these bounds keep a fragment's work within what
-// a genuine gather's can cost. A fragment from outside the process passes
-// through here before SourceSlice or TopSlice.
+// than any a gather emits (maxStep = maxStoredStep+2), or a value that is
+// not a probability in [0, 1]. The ascending check guards correctness:
+// propagation finds each step group by scanning from the tail, so a key
+// out of order would be silently left out of the answer. The step bound
+// caps a fragment's cost at maxStep+1 levels of one hop each. A fragment
+// from outside the process passes through here before SourceSlice or
+// TopSlice.
 func (p *ScratchPool) CheckFragment(keys []uint64, vals []float64) error {
 	if len(keys) != len(vals) {
 		return fmt.Errorf("fragment has %d keys but %d values", len(keys), len(vals))

@@ -12,17 +12,41 @@ import (
 
 // Single-source queries (Section 6 of the paper).
 //
-// Algorithm 6 avoids touching every node's H(v): for each step ℓ present
-// in H(u) it seeds temporary scores ρ^(0)(k) = h̃^(ℓ)(u,k)·d̃_k and
-// propagates them ℓ steps forward along out-edges (the same local-update
-// rule as Algorithm 2, with the pruning threshold scaled down to
-// (√c)^ℓ·θ because the seeds start at (√c)^ℓ rather than 1). After ℓ
-// steps, ρ^(ℓ)(j) is the step-ℓ slice of Equation (13) for every j at
-// once. Total cost O(m·log²(1/ε)) with ε worst-case error (Lemma 12).
+// By Equation (13), s̃(u, j) = Σ_ℓ Σ_k h̃^(ℓ)(u,k)·d̃_k·h^(ℓ)(j,k). Seed
+// σ_ℓ(k) = h̃^(ℓ)(u,k)·d̃_k for each step ℓ of H(u), and let one hop P be
+// the local-update rule of Algorithm 2 run along out-edges,
+//
+//	(P·ρ)(y) = √c/|I(y)| · Σ_{v∈I(y)} ρ(v),
+//
+// so that (P^h·ρ)(j) = Σ_v h^(h)(j,v)·ρ(v). Then s̃(u, ·) = Σ_ℓ P^ℓ·σ_ℓ,
+// which Algorithm 6 computes for every j at once.
+//
+// propagate evaluates that sum as one Horner fold rather than one ℓ-hop
+// pass per step group: from the deepest step L of H(u) down to 1 it adds
+// σ_h to a single running vector and hops once, then adds σ_0. A query
+// costs L hops over the merged vector instead of Σℓ hops over the groups.
+//
+// Before the hop at level h, with h hops to go, every entry ≤ τ_h =
+// (√c)^h·θ/(1−√c) is dropped. A dropped ρ(v) would have added
+// ρ(v)·h^(h)(j,v) to node j, and Σ_v h^(h)(j,v) ≤ (√c)^h, so level h lowers
+// any score by at most (√c)^h·τ_h = c^h·θ/(1−√c), and all levels together
+// by at most
+//
+//	Σ_{h≥1} c^h·θ/(1−√c) = θ·c/((1−c)(1−√c)),
+//
+// never raising one (every value is non-negative). That is the worst
+// case of the per-group pruning of Algorithm 6 as written (threshold
+// (√c)^ℓ·θ at each of group ℓ's hops), √c·ε/4 at the default θ, and √c
+// times the v-side truncation share √c·θ/((1−√c)(1−c)) of Theorem 1's ε
+// budget, so Lemma 12's ε guarantee and O(m·log²(1/ε)) cost stand.
 
 // SourceScratch holds the per-query buffers of single-source queries.
 type SourceScratch struct {
-	q                 *Scratch
+	q *Scratch
+
+	// cur is the fold's running vector and next the target of its hop,
+	// each with the nodes it may be nonzero at listed (duplicates
+	// allowed). Both are all-zero between calls.
 	cur, next         []float64
 	curList, nextList []int32
 
@@ -115,18 +139,62 @@ func (x *Index) sourceTop(u graph.NodeID, k int, skip graph.NodeID, s *SourceScr
 
 // propagate adds the Algorithm 6 scores of a gathered entry list into
 // acc, which must be all-zero, and lists the nodes it makes nonzero in
-// s.hits. Entries are sorted by (step, node), so it processes one
-// step-group at a time. The caller empties s.hits (and s.acc, with
-// drain, when that is the accumulator).
+// s.hits. It is the merged fold of the header: it finds each step group
+// by scanning from the tail, so keys must be strictly ascending (a key
+// out of order is never seeded), and it runs at most maxStep+1 levels
+// for a deepest step maxStep whatever the fragment holds. s.cur and
+// s.next are all-zero before and after. The caller empties s.hits (and
+// s.acc, with drain, when that is the accumulator).
 func (x *Index) propagate(keys []uint64, vals []float64, s *SourceScratch, acc []float64) {
-	for lo := 0; lo < len(keys); {
-		l := keyStep(keys[lo])
-		hi := lo
-		for hi < len(keys) && keyStep(keys[hi]) == l {
-			hi++
+	if len(keys) == 0 {
+		return
+	}
+	sqrtC := x.prm.sqrtC
+	hi := len(keys)
+	top := keyStep(keys[hi-1])
+	tau := math.Pow(sqrtC, float64(top)) * x.prm.theta / (1 - sqrtC)
+	s.curList = s.curList[:0]
+	for h := top; ; h-- {
+		lo := hi
+		for lo > 0 && keyStep(keys[lo-1]) == h {
+			lo--
 		}
-		x.propagateStep(keys[lo:hi], vals[lo:hi], l, s, acc)
-		lo = hi
+		for i := lo; i < hi; i++ {
+			k := keyNode(keys[i])
+			if s.cur[k] == 0 {
+				s.curList = append(s.curList, k)
+			}
+			s.cur[k] += vals[i] * x.d[k]
+		}
+		hi = lo
+		if h == 0 {
+			break
+		}
+		s.nextList = s.nextList[:0]
+		for _, v := range s.curList {
+			rho := s.cur[v]
+			s.cur[v] = 0
+			if rho <= tau {
+				continue
+			}
+			for _, y := range x.g.OutNeighbors(v) {
+				add := sqrtC * rho / float64(x.g.InDegree(y))
+				if s.next[y] == 0 {
+					s.nextList = append(s.nextList, y)
+				}
+				s.next[y] += add
+			}
+		}
+		s.cur, s.next = s.next, s.cur
+		s.curList, s.nextList = s.nextList, s.curList
+		tau /= sqrtC
+	}
+	for _, v := range s.curList {
+		if acc[v] == 0 && s.cur[v] != 0 {
+			s.hits = append(s.hits, v)
+		}
+		acc[v] += s.cur[v]
+		s.cur[v] = 0
 	}
 }
 
@@ -141,46 +209,6 @@ func (s *SourceScratch) drain(out []float64, lo int) {
 		s.acc[v] = 0
 	}
 	s.hits = s.hits[:0]
-}
-
-// propagateStep seeds ρ^(0)(k) = h̃^(ℓ)(u,k)·d̃_k for one step group and
-// runs ℓ local-update steps, accumulating ρ^(ℓ) into acc.
-func (x *Index) propagateStep(keys []uint64, vals []float64, l int, s *SourceScratch, acc []float64) {
-	s.curList = s.curList[:0]
-	for i, key := range keys {
-		k := keyNode(key)
-		if s.cur[k] == 0 {
-			s.curList = append(s.curList, k)
-		}
-		s.cur[k] += vals[i] * x.d[k]
-	}
-	threshold := math.Pow(x.prm.sqrtC, float64(l)) * x.prm.theta
-	for t := 0; t < l; t++ {
-		s.nextList = s.nextList[:0]
-		for _, v := range s.curList {
-			rho := s.cur[v]
-			s.cur[v] = 0
-			if rho <= threshold {
-				continue
-			}
-			for _, y := range x.g.OutNeighbors(v) {
-				add := x.prm.sqrtC * rho / float64(x.g.InDegree(y))
-				if s.next[y] == 0 {
-					s.nextList = append(s.nextList, y)
-				}
-				s.next[y] += add
-			}
-		}
-		s.cur, s.next = s.next, s.cur
-		s.curList, s.nextList = s.nextList, s.curList
-	}
-	for _, v := range s.curList {
-		if acc[v] == 0 && s.cur[v] != 0 {
-			s.hits = append(s.hits, v)
-		}
-		acc[v] += s.cur[v]
-		s.cur[v] = 0
-	}
 }
 
 // SingleSourceNaive answers a single-source query by running the
@@ -216,34 +244,38 @@ func CtxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// forEachSource runs fn(i, scratch) for every i in [0, count), fanned
-// across workers goroutines (Options.Workers when workers <= 0), each
-// with its own SourceScratch. Sources are handed out from a shared atomic
-// counter so stragglers don't idle a worker. Each call of fn is
-// independent, so the results are identical at any worker count. It is
-// the one batch loop: the resident reference methods and the serving
-// engine both fan out through it.
+// ForEach runs fn(i, st) for every i in [0, count), fanned across at
+// most workers goroutines, each with its own state from newState (a nil
+// newState gives every worker the zero S). Indexes are handed out from a
+// shared atomic counter so stragglers don't idle a worker. Each call of
+// fn is independent, so the results are identical at any worker count.
+// It is the one batch loop of the query stack: the resident reference
+// methods, the serving engine and the dynamic tier all fan out through
+// it.
 //
-// The first error fn returns stops the fan-out and is returned. ctx is
-// observed between per-source units: once it is cancelled no new source
-// starts (in-flight sources finish) and ctx.Err() is returned, so an
-// abandoned batch stops burning CPU at source granularity. A ctx
-// cancelled only after the last source was claimed does not fail the
-// batch — completed work is returned, not discarded.
-func (x *Index) forEachSource(ctx context.Context, count, workers int, fn func(i int, s *SourceScratch) error) error {
-	if workers <= 0 {
-		workers = x.prm.workers
+// The first error fn returns stops the fan-out and is returned. ctx (nil
+// means never cancelled) is observed between units: once it is
+// cancelled no new index starts (in-flight ones finish) and ctx.Err() is
+// returned, so an abandoned batch stops burning CPU at unit granularity.
+// A ctx cancelled only after the last index was claimed does not fail
+// the batch — completed work is returned, not discarded.
+func ForEach[S any](ctx context.Context, count, workers int, newState func() S, fn func(i int, st S) error) error {
+	state := func() (st S) {
+		if newState != nil {
+			st = newState()
+		}
+		return st
 	}
 	if workers > count {
 		workers = count
 	}
 	if workers <= 1 {
-		s := x.NewSourceScratch()
+		st := state()
 		for i := 0; i < count; i++ {
 			if err := CtxErr(ctx); err != nil {
 				return err
 			}
-			if err := fn(i, s); err != nil {
+			if err := fn(i, st); err != nil {
 				return err
 			}
 		}
@@ -256,18 +288,18 @@ func (x *Index) forEachSource(ctx context.Context, count, workers int, fn func(i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := x.NewSourceScratch()
+			st := state()
 			for {
 				// Claim before checking ctx: a worker that finds the work
 				// exhausted returns cleanly, so a ctx cancelled after the
-				// last source leaves a fully-computed batch intact.
+				// last index leaves a fully-computed batch intact.
 				i := int(next.Add(1)) - 1
 				if i >= count || firstErr.Load() != nil {
 					return
 				}
 				err := CtxErr(ctx)
 				if err == nil {
-					err = fn(i, s)
+					err = fn(i, st)
 				}
 				if err != nil {
 					// Copied before its address is taken, so the happy
@@ -284,6 +316,15 @@ func (x *Index) forEachSource(ctx context.Context, count, workers int, fn func(i
 		return *ep
 	}
 	return nil
+}
+
+// forEachSource is ForEach with a SourceScratch per worker and
+// Options.Workers goroutines when workers <= 0.
+func (x *Index) forEachSource(ctx context.Context, count, workers int, fn func(i int, s *SourceScratch) error) error {
+	if workers <= 0 {
+		workers = x.prm.workers
+	}
+	return ForEach(ctx, count, workers, x.NewSourceScratch, fn)
 }
 
 // SingleSourceBatch answers one single-source query per source in us,

@@ -664,48 +664,22 @@ func (d *Dynamic) SourceTop(u graph.NodeID, limit int) []core.TopEntry {
 }
 
 // SingleSourceBatch answers one single-source query per source in us,
-// fanned across workers goroutines (Options.Workers when workers <= 0).
-// Against a fixed state every row equals SingleSource(us[i], nil); under
-// concurrent updates each row is individually consistent with some
-// published view. A cancelled ctx (nil means never) stops the fan-out
-// between sources and returns ctx.Err().
+// fanned across workers goroutines (Options.Workers when workers <= 0)
+// by core.ForEach. Against a fixed state every row equals
+// SingleSource(us[i], nil); under concurrent updates each row is
+// individually consistent with some published view. A cancelled ctx
+// (nil means never) stops the fan-out between sources and returns
+// ctx.Err(); a ctx cancelled after the last source was claimed does not
+// discard the finished batch.
 func (d *Dynamic) SingleSourceBatch(ctx context.Context, us []graph.NodeID, workers int) ([][]float64, error) {
-	rows := make([][]float64, len(us))
 	if workers <= 0 {
 		workers = d.workers
 	}
-	if workers > len(us) {
-		workers = len(us)
-	}
-	if workers <= 1 {
-		for i, u := range us {
-			if err := core.CtxErr(ctx); err != nil {
-				return nil, err
-			}
-			rows[i] = d.SingleSource(u, nil)
-		}
-		return rows, nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if core.CtxErr(ctx) != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= len(us) {
-					return
-				}
-				rows[i] = d.SingleSource(us[i], nil)
-			}
-		}()
-	}
-	wg.Wait()
-	if err := core.CtxErr(ctx); err != nil {
+	rows := make([][]float64, len(us))
+	if err := core.ForEach(ctx, len(us), workers, nil, func(i int, _ struct{}) error {
+		rows[i] = d.SingleSource(us[i], nil)
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	return rows, nil
