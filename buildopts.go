@@ -53,7 +53,10 @@ func WithDelta(delta float64) BuildOption { return func(o *Options) { o.Delta = 
 func WithGamma(gamma float64) BuildOption { return func(o *Options) { o.Gamma = gamma } }
 
 // WithWorkers bounds build parallelism (Section 5.4) and the default
-// fan-out of SingleSourceBatch on the built index. Default 1.
+// fan-out of SingleSourceBatch on the built index. Default 1. The build
+// hands target nodes to workers one at a time, so its passes stay
+// load-balanced on skewed graphs, and the index is bit-identical at any
+// worker count.
 func WithWorkers(n int) BuildOption { return func(o *Options) { o.Workers = n } }
 
 // WithSeed fixes all sampling, making builds reproducible at any worker

@@ -1,14 +1,13 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
 	"sync"
 
 	"sling/internal/graph"
-	"sling/internal/rng"
-	"sling/internal/walk"
 )
 
 // BuildStats reports work done during preprocessing.
@@ -41,50 +40,40 @@ func BuildWithStats(g *graph.Graph, o *Options) (*Index, BuildStats, error) {
 		return x, st, nil
 	}
 
-	// Phase 1+2, parallel over target nodes k (Section 5.4): estimate d̃_k
-	// (Algorithm 1 or 4) and run the local-update pass (Algorithm 2).
-	// Workers own contiguous k-ranges; all sampling for node k is seeded
-	// by (Seed, k), so the result is identical at any worker count.
-	workers := prm.workers
-	if workers > n {
-		workers = n
+	// Phase 1: estimate every d̃_k (Algorithm 1 or 4).
+	st.WalkPairs = estimateAllD(g, prm, x.d)
+
+	// Phase 2: the local-update pass of Algorithm 2 for every target k,
+	// parallel over k (Section 5.4). ForEach hands out one k at a time,
+	// so a worker that finishes cheap targets claims the next one instead
+	// of idling; each worker appends to its own output.
+	type hpWorker struct {
+		scratch *hpScratch
+		out     []hpEntry
+		pushes  int64
 	}
-	outs := make([][]hpEntry, workers)
-	pairCounts := make([]int64, workers)
-	pushCounts := make([]int64, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			outs[w] = nil
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			scratch := newHPScratch(n)
-			var out []hpEntry
-			for k := lo; k < hi; k++ {
-				wk := walk.New(g, prm.c, rng.New(mixSeed(prm.seed, k)))
-				dk, pairs := estimateD(g, wk, graph.NodeID(k), prm)
-				x.d[k] = dk
-				pairCounts[w] += int64(pairs)
-				var pushes int64
-				out, pushes = hpPass(g, graph.NodeID(k), prm.sqrtC, prm.theta, scratch, out)
-				pushCounts[w] += pushes
-			}
-			outs[w] = out
-		}(w, lo, hi)
+	var (
+		mu   sync.Mutex
+		outs []*hpWorker
+	)
+	newWorker := func() *hpWorker {
+		w := &hpWorker{scratch: newHPScratch(n)}
+		mu.Lock()
+		outs = append(outs, w)
+		mu.Unlock()
+		return w
 	}
-	wg.Wait()
-	for w := 0; w < workers; w++ {
-		st.WalkPairs += pairCounts[w]
-		st.HPPushes += pushCounts[w]
-		st.Entries += len(outs[w])
+	// fn never fails and the context is never cancelled, so neither can
+	// ForEach.
+	_ = ForEach(context.TODO(), n, prm.workers, newWorker, func(k int, w *hpWorker) error {
+		var pushes int64
+		w.out, pushes = hpPass(g, graph.NodeID(k), prm.sqrtC, prm.theta, w.scratch, w.out)
+		w.pushes += pushes
+		return nil
+	})
+	for _, w := range outs {
+		st.HPPushes += w.pushes
+		st.Entries += len(w.out)
 	}
 
 	// Phase 3: decide space reduction per node (Section 5.2) before
@@ -98,9 +87,11 @@ func BuildWithStats(g *graph.Graph, o *Options) (*Index, BuildStats, error) {
 		}
 	}
 
-	// Phase 4: assemble the per-node CSR by counting scatter over the
-	// worker outputs in k-order (deterministic), then sort each node's
-	// entries by (step, target) key.
+	// Phase 4: assemble the per-node CSR by a counting scatter over the
+	// worker outputs, then sort each node's entries by (step, target)
+	// key. Which worker produced an entry, and so the order the scatter
+	// sees it in, depends on scheduling; a node's keys are unique
+	// (step, target) pairs, so the sort alone fixes the final layout.
 	keep := func(e hpEntry) bool {
 		if !x.reduced[e.x] {
 			return true
@@ -110,8 +101,8 @@ func BuildWithStats(g *graph.Graph, o *Options) (*Index, BuildStats, error) {
 	}
 	counts := make([]int64, n+1)
 	total := 0
-	for _, out := range outs {
-		for _, e := range out {
+	for _, w := range outs {
+		for _, e := range w.out {
 			if keep(e) {
 				counts[e.x+1]++
 				total++
@@ -127,8 +118,8 @@ func BuildWithStats(g *graph.Graph, o *Options) (*Index, BuildStats, error) {
 	x.vals = make([]float64, total)
 	cursor := make([]int64, n)
 	copy(cursor, x.off[:n])
-	for w, out := range outs {
-		for _, e := range out {
+	for _, w := range outs {
+		for _, e := range w.out {
 			if keep(e) {
 				c := cursor[e.x]
 				x.keys[c] = e.key
@@ -138,7 +129,7 @@ func BuildWithStats(g *graph.Graph, o *Options) (*Index, BuildStats, error) {
 		}
 		// Drop the scattered worker output so it can be collected before
 		// sorting, which would otherwise double peak build memory.
-		outs[w] = nil
+		w.out = nil
 	}
 	for v := 0; v < n; v++ {
 		sortEntries(x.keys[x.off[v]:x.off[v+1]], x.vals[x.off[v]:x.off[v+1]])
@@ -162,12 +153,6 @@ func twoHopVolume(g *graph.Graph, v graph.NodeID) int64 {
 		vol += int64(g.InDegree(u))
 	}
 	return vol
-}
-
-func mixSeed(seed uint64, v int) uint64 {
-	z := seed ^ (uint64(v)+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	return z ^ (z >> 31)
 }
 
 // sortEntries sorts keys and vals in lockstep by key, with an in-place

@@ -54,7 +54,11 @@ type Options struct {
 	// estimated with failure budget Delta/n. Default 1/n (so δ_d = 1/n²,
 	// as in Section 7.1).
 	Delta float64
-	// Workers bounds build parallelism (Section 5.4). Default 1.
+	// Workers bounds build parallelism (Section 5.4). Default 1. The d̃
+	// and HP passes hand target nodes to workers one at a time (ForEach),
+	// so they stay load-balanced on skewed graphs; the index is
+	// bit-identical at any worker count, and one worker runs on the
+	// calling goroutine.
 	Workers int
 	// Seed fixes all sampling. The estimate for node k depends only on
 	// (Seed, k), never on scheduling, so builds are reproducible at any

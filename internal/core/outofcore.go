@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"sync/atomic"
 
 	"sling/internal/extsort"
 	"sling/internal/graph"
@@ -28,10 +30,11 @@ type OutOfCoreOptions struct {
 	MemBudget int64
 }
 
-// BuildOutOfCore constructs the same index as Build while keeping HP
-// entries out of memory until final assembly. The HP pass is sequential
-// over target nodes (runs are written "in turn", as the paper describes);
-// the d̃ estimation still honors o.Workers.
+// BuildOutOfCore constructs the same index as Build, bit for bit, while
+// keeping HP entries out of memory until final assembly. It shares
+// Build's d̃ pass, which honors o.Workers; the HP pass is sequential over
+// target nodes, feeding one external sorter (runs are written "in turn",
+// as the paper describes).
 func BuildOutOfCore(g *graph.Graph, o *Options, oo OutOfCoreOptions) (*Index, error) {
 	prm, err := o.resolve(g.NumNodes())
 	if err != nil {
@@ -48,7 +51,7 @@ func BuildOutOfCore(g *graph.Graph, o *Options, oo OutOfCoreOptions) (*Index, er
 		return x, nil
 	}
 
-	// Correction factors (memory-resident per Section 5.4), parallel.
+	// Correction factors (memory-resident per Section 5.4).
 	estimateAllD(g, prm, x.d)
 
 	// Space-reduction decisions, needed to filter entries before they are
@@ -120,39 +123,22 @@ func BuildOutOfCore(g *graph.Graph, o *Options, oo OutOfCoreOptions) (*Index, er
 	return x, nil
 }
 
-// estimateAllD fills d with correction-factor estimates, parallel over
-// contiguous node ranges (deterministic: sampling for node k is seeded by
-// (Seed, k)).
-func estimateAllD(g *graph.Graph, prm resolved, d []float64) {
-	n := g.NumNodes()
-	workers := prm.workers
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	done := make(chan struct{}, workers)
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			done <- struct{}{}
-			continue
-		}
-		go func(lo, hi int) {
-			for k := lo; k < hi; k++ {
-				wk := walk.New(g, prm.c, rng.New(mixSeed(prm.seed, k)))
-				dk, _ := estimateD(g, wk, graph.NodeID(k), prm)
-				d[k] = dk
-			}
-			done <- struct{}{}
-		}(lo, hi)
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
+// estimateAllD fills d with d̃_k for every node k (Algorithm 1 or 4) and
+// returns the √c-walk pairs drawn. It is phase 1 of both Build and
+// BuildOutOfCore: parallel over k through ForEach, which hands out one k
+// at a time, so the costly nodes, which cluster at low IDs on a
+// power-law graph, do not leave a worker idle. Sampling for node k is
+// seeded by (Seed, k) alone, so d is identical at any worker count.
+func estimateAllD(g *graph.Graph, prm resolved, d []float64) int64 {
+	var pairs atomic.Int64
+	// fn never fails and the context is never cancelled, so neither can
+	// ForEach.
+	_ = ForEach(context.TODO(), g.NumNodes(), prm.workers, nil, func(k int, _ struct{}) error {
+		wk := walk.New(g, prm.c, rng.New(rng.MixSeed(prm.seed, k)))
+		dk, p := estimateD(g, wk, graph.NodeID(k), prm)
+		d[k] = dk
+		pairs.Add(int64(p))
+		return nil
+	})
+	return pairs.Load()
 }

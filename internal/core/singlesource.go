@@ -246,12 +246,13 @@ func CtxErr(ctx context.Context) error {
 
 // ForEach runs fn(i, st) for every i in [0, count), fanned across at
 // most workers goroutines, each with its own state from newState (a nil
-// newState gives every worker the zero S). Indexes are handed out from a
-// shared atomic counter so stragglers don't idle a worker. Each call of
-// fn is independent, so the results are identical at any worker count.
-// It is the one batch loop of the query stack: the resident reference
-// methods, the serving engine and the dynamic tier all fan out through
-// it.
+// newState gives every worker the zero S). Indexes are handed out one at
+// a time from a shared atomic counter so stragglers don't idle a worker.
+// With workers <= 1 it runs inline on the caller's goroutine. Each call
+// of fn is independent, so the results are identical at any worker
+// count. It is the one parallel loop of the query stack and the build:
+// the resident reference methods, the serving engine, the dynamic tier,
+// and the build's d̃ and HP passes all fan out through it.
 //
 // The first error fn returns stops the fan-out and is returned. ctx (nil
 // means never cancelled) is observed between units: once it is

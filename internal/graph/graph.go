@@ -11,6 +11,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -241,69 +242,53 @@ func (b *Builder) NumPendingEdges() int { return len(b.edges) }
 // Build finalizes the graph. The builder can be reused afterwards; its
 // accumulated edges are retained.
 func (b *Builder) Build() *Graph {
-	edges := b.edges
-	if b.dedup {
-		edges = dedupEdges(edges)
-	} else {
-		sorted := make([]Edge, len(edges))
-		copy(sorted, edges)
-		sortEdges(sorted)
-		edges = sorted
+	// Sort the edges by (From, To) as packed From<<32|To keys: endpoints
+	// are non-negative, so key order is edge order, and slices.Sort on
+	// plain integers makes no closure call per comparison. The dynamic
+	// tier rebuilds its graph on every update batch, so this sort sits on
+	// its write path.
+	keys := make([]uint64, len(b.edges))
+	for i, e := range b.edges {
+		keys[i] = uint64(e.From)<<32 | uint64(e.To)
 	}
-	g := &Graph{n: b.n, m: int64(len(edges))}
+	slices.Sort(keys)
+	if b.dedup {
+		keys = slices.Compact(keys)
+	}
+	from := func(k uint64) NodeID { return NodeID(k >> 32) }
+	to := func(k uint64) NodeID { return NodeID(uint32(k)) }
+
+	g := &Graph{n: b.n, m: int64(len(keys))}
 	g.outOff = make([]int64, b.n+1)
 	g.inOff = make([]int64, b.n+1)
-	g.outTo = make([]int32, len(edges))
-	g.inFrom = make([]int32, len(edges))
+	g.outTo = make([]int32, len(keys))
+	g.inFrom = make([]int32, len(keys))
 
 	// Out-CSR directly from the sorted edge list.
-	for _, e := range edges {
-		g.outOff[e.From+1]++
+	for _, k := range keys {
+		g.outOff[from(k)+1]++
 	}
 	for v := int32(0); v < b.n; v++ {
 		g.outOff[v+1] += g.outOff[v]
 	}
-	for i, e := range edges {
-		g.outTo[i] = e.To
+	for i, k := range keys {
+		g.outTo[i] = to(k)
 	}
 	// In-CSR via counting sort on To; stable scan keeps in-neighbors sorted
 	// because edges are sorted by (From, To) and we bucket by To.
-	for _, e := range edges {
-		g.inOff[e.To+1]++
+	for _, k := range keys {
+		g.inOff[to(k)+1]++
 	}
 	for v := int32(0); v < b.n; v++ {
 		g.inOff[v+1] += g.inOff[v]
 	}
 	cursor := make([]int64, b.n)
 	copy(cursor, g.inOff[:b.n])
-	for _, e := range edges {
-		g.inFrom[cursor[e.To]] = e.From
-		cursor[e.To]++
+	for _, k := range keys {
+		g.inFrom[cursor[to(k)]] = from(k)
+		cursor[to(k)]++
 	}
 	return g
-}
-
-// dedupEdges sorts a copy of edges by (From, To) and removes duplicates.
-func dedupEdges(edges []Edge) []Edge {
-	sorted := make([]Edge, len(edges))
-	copy(sorted, edges)
-	sortEdges(sorted)
-	out := sorted[:0]
-	for i, e := range sorted {
-		if i == 0 || sorted[i-1] != e {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-func sortEdges(edges []Edge) {
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
-		}
-		return edges[i].To < edges[j].To
-	})
 }
 
 // FromEdges builds a directed graph with n nodes from an edge slice,

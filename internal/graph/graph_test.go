@@ -322,11 +322,22 @@ func TestPropertyCSRTranspose(t *testing.T) {
 		m := int(mRaw % 1000)
 		r := rng.New(seed)
 		b := NewBuilder(n)
+		dup := NewBuilder(n).KeepDuplicates()
+		added := map[Edge]int{}
 		for i := 0; i < m; i++ {
-			b.AddEdge(NodeID(r.Intn(n)), NodeID(r.Intn(n)))
+			e := Edge{NodeID(r.Intn(n)), NodeID(r.Intn(n))}
+			b.AddEdge(e.From, e.To)
+			dup.AddEdge(e.From, e.To)
+			added[e]++
 		}
 		g := b.Build()
 		if g.Validate() != nil {
+			return false
+		}
+		// The built edges are the distinct input edges, and under
+		// KeepDuplicates the input multiset.
+		gd := dup.Build()
+		if gd.Validate() != nil || !sameEdges(g, added, false) || !sameEdges(gd, added, true) {
 			return false
 		}
 		inSum, outSum := 0, 0
@@ -358,6 +369,28 @@ func TestPropertyCSRTranspose(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// sameEdges reports whether g's edges are exactly the keys of want, each
+// once, or with want's multiplicity when multi is set.
+func sameEdges(g *Graph, want map[Edge]int, multi bool) bool {
+	got := map[Edge]int{}
+	g.Edges(func(from, to NodeID) bool {
+		got[Edge{from, to}]++
+		return true
+	})
+	if len(got) != len(want) {
+		return false
+	}
+	for e, c := range want {
+		if !multi {
+			c = 1
+		}
+		if got[e] != c {
+			return false
+		}
+	}
+	return true
 }
 
 // Property: binary round trip preserves the edge multiset.

@@ -119,7 +119,7 @@ func Build(g *graph.Graph, o *Options) (*Index, error) {
 			buf := make([]graph.NodeID, 0, opt.T+1)
 			walks := make([][]graph.NodeID, opt.R)
 			for k := lo; k < hi; k++ {
-				wk := walk.New(g, opt.C, rng.New(mixSeed(opt.Seed, k)))
+				wk := walk.New(g, opt.C, rng.New(rng.MixSeed(opt.Seed, k)))
 				for r := 0; r < opt.R; r++ {
 					buf = wk.ReverseWalk(graph.NodeID(k), opt.T, buf[:0])
 					walks[r] = append(walks[r][:0], buf...)
@@ -183,12 +183,6 @@ func Build(g *graph.Graph, o *Options) (*Index, error) {
 		}
 	}
 	return x, nil
-}
-
-func mixSeed(seed uint64, v int) uint64 {
-	z := seed ^ (uint64(v)+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	return z ^ (z >> 31)
 }
 
 // D returns the estimated diagonal correction factors (aliases storage).

@@ -161,7 +161,7 @@ func Build(g *graph.Graph, o *Options) (*Index, error) {
 			for v := lo; v < hi; v++ {
 				// Per-node stream keeps the index independent of the
 				// worker layout.
-				wk := walk.New(g, opt.C, rng.New(mixSeed(opt.Seed, v)))
+				wk := walk.New(g, opt.C, rng.New(rng.MixSeed(opt.Seed, v)))
 				// The stopping coin is unused by ReverseWalk, but Walker
 				// validates c, which we want anyway.
 				base := (v * nw) * (t + 1)
@@ -185,12 +185,6 @@ func Build(g *graph.Graph, o *Options) (*Index, error) {
 	}
 	wg.Wait()
 	return x, nil
-}
-
-func mixSeed(seed uint64, v int) uint64 {
-	z := seed ^ (uint64(v)+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	return z ^ (z >> 31)
 }
 
 // coupledWalk follows the shared pseudo-random transition function: the

@@ -3,13 +3,17 @@
 //
 // The generator is xoshiro256** seeded through SplitMix64, the combination
 // recommended by its authors. It is not safe for concurrent use; concurrent
-// builders derive independent streams with Split, which uses SplitMix64 to
-// decorrelate child seeds. Determinism matters here: the SLING preprocessing
-// experiments (Figure 5 of the paper, ten index rebuilds) must be exactly
-// reproducible from a seed.
+// builders give every node its own stream seeded by MixSeed, or derive
+// child streams with Split; both decorrelate seeds with SplitMix64.
+// Determinism matters here: the SLING preprocessing experiments (Figure 5
+// of the paper, ten index rebuilds) must be exactly reproducible from a
+// seed.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a deterministic xoshiro256** generator.
 // The zero value is not valid; use New.
@@ -58,6 +62,15 @@ func (r *Source) Uint64() uint64 {
 	return result
 }
 
+// MixSeed derives the seed of item v's stream from a base seed with a
+// SplitMix64 finalizer, so sampling for node v depends only on
+// (seed, v) and never on which worker or in what order v is processed.
+func MixSeed(seed uint64, v int) uint64 {
+	z := seed ^ (uint64(v)+1)*0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	return z ^ (z >> 31)
+}
+
 // Split derives an independent child generator. The child stream is a
 // deterministic function of the parent state, and the parent advances, so
 // successive Split calls return distinct streams.
@@ -99,24 +112,11 @@ func (r *Source) Uint64n(n uint64) uint64 {
 	// Lemire rejection sampling on the high 64 bits of a 128-bit product.
 	for {
 		v := r.Uint64()
-		hi, lo := mul64(v, n)
+		hi, lo := bits.Mul64(v, n)
 		if lo >= n || lo >= -n%n {
 			return hi
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	x0, x1 := x&mask, x>>32
-	y0, y1 := y&mask, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t&mask + x0*y1
-	hi = x1*y1 + t>>32 + w1>>32
-	lo = x * y
-	return
 }
 
 // Bernoulli returns true with probability p.

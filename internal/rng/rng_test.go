@@ -204,22 +204,6 @@ func TestShuffleKeepsMultiset(t *testing.T) {
 	}
 }
 
-func TestMul64(t *testing.T) {
-	cases := []struct{ x, y, hi, lo uint64 }{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{math.MaxUint64, math.MaxUint64, math.MaxUint64 - 1, 1},
-		{1 << 32, 1 << 32, 1, 0},
-	}
-	for _, c := range cases {
-		hi, lo := mul64(c.x, c.y)
-		if hi != c.hi || lo != c.lo {
-			t.Fatalf("mul64(%d,%d) = (%d,%d), want (%d,%d)", c.x, c.y, hi, lo, c.hi, c.lo)
-		}
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	var sink uint64

@@ -25,25 +25,34 @@ type Walker struct {
 	g     *graph.Graph
 	c     float64
 	sqrtC float64
-	r     *rng.Source
+	// goOn is ⌈√c·2⁵³⌉: a walk continues when the top 53 bits of a draw
+	// are below it, which is exactly r.Bernoulli(√c) as one integer
+	// compare.
+	goOn uint64
+	// r is held by value so the per-step draw needs no pointer hop.
+	r rng.Source
 }
 
 // New returns a Walker over g with decay factor c (0 < c < 1), drawing
-// randomness from r.
+// randomness from a copy of *r: the walker owns its stream from then on,
+// and later draws from r do not move it (nor it r). Use Rng to reach the
+// walker's own stream.
 func New(g *graph.Graph, c float64, r *rng.Source) *Walker {
 	if c <= 0 || c >= 1 {
 		panic(fmt.Sprintf("walk: decay factor %v out of (0,1)", c))
 	}
-	return &Walker{g: g, c: c, sqrtC: math.Sqrt(c), r: r}
+	sqrtC := math.Sqrt(c)
+	return &Walker{g: g, c: c, sqrtC: sqrtC, goOn: uint64(math.Ceil(sqrtC * (1 << 53))), r: *r}
 }
 
 // C returns the decay factor.
 func (w *Walker) C() float64 { return w.c }
 
-// Rng exposes the walker's random source so callers that interleave walks
-// with other sampling (e.g. drawing in-neighbor pairs for SLING's
-// correction factors) stay on one deterministic stream.
-func (w *Walker) Rng() *rng.Source { return w.r }
+// Rng returns the walker's own random stream (the copy New took), so
+// callers that interleave walks with other sampling (e.g. drawing
+// in-neighbor pairs for SLING's correction factors) stay on one
+// deterministic stream.
+func (w *Walker) Rng() *rng.Source { return &w.r }
 
 // SqrtC returns √c, the per-step continuation probability.
 func (w *Walker) SqrtC() float64 { return w.sqrtC }
@@ -51,7 +60,7 @@ func (w *Walker) SqrtC() float64 { return w.sqrtC }
 // step returns the next node of a √c-walk at v, or (-1, false) if the walk
 // stops (by the 1−√c coin or because v has no in-neighbors).
 func (w *Walker) step(v graph.NodeID) (graph.NodeID, bool) {
-	if !w.r.Bernoulli(w.sqrtC) {
+	if w.r.Uint64()>>11 >= w.goOn {
 		return -1, false
 	}
 	ins := w.g.InNeighbors(v)

@@ -41,6 +41,35 @@ func TestNewRejectsBadDecay(t *testing.T) {
 	}
 }
 
+// The stopping coin compares a draw's top 53 bits with ⌈√c·2⁵³⌉. That
+// must be exactly rng.Bernoulli(√c): the threshold and the integer below
+// it fall on either side of √c, and a walker stepping round a cycle
+// stays in lockstep with a reference stream that draws Bernoulli(√c)
+// and then, on continuing, Intn(1).
+func TestStopCoinIsBernoulli(t *testing.T) {
+	for _, c := range []float64{1e-9, 0.25, 0.6, 0.8, 0.999999} {
+		w := New(cycle(3), c, rng.New(1))
+		k := w.goOn
+		if !(float64(k-1)/(1<<53) < w.sqrtC) || float64(k)/(1<<53) < w.sqrtC {
+			t.Fatalf("c=%v: threshold %d is not ⌈√c·2⁵³⌉", c, k)
+		}
+		ref := rng.New(1)
+		for i := 0; i < 10000; i++ {
+			_, ok := w.step(0)
+			want := ref.Bernoulli(w.sqrtC)
+			if want {
+				ref.Intn(1)
+			}
+			if ok != want {
+				t.Fatalf("c=%v: step %d continued=%v, Bernoulli(√c)=%v", c, i, ok, want)
+			}
+		}
+		if w.Rng().Uint64() != ref.Uint64() {
+			t.Fatalf("c=%v: walker stream drifted from the reference", c)
+		}
+	}
+}
+
 func TestWalkLengthGeometric(t *testing.T) {
 	// On a cycle every node has an in-neighbor, so walk length (number of
 	// steps taken) is geometric with success probability 1-√c and mean
