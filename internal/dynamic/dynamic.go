@@ -109,11 +109,12 @@ type generation struct {
 // view is the atomically-published serving state: the current generation,
 // the current (possibly mutated) graph, and the affected-node frontier
 // relative to the generation's base graph. Views are immutable; every
-// update batch and every swap publishes a fresh one.
+// update batch and every swap publishes a fresh one. The view's CSR is
+// the tier's only copy of the current edge set.
 type view struct {
 	gen          *generation
 	g            *graph.Graph
-	affected     []bool  // nil when the graph matches gen's base graph
+	affected     []bool  // nil when no op is pending
 	affectedList []int32 // ascending node IDs with affected[v] == true
 	staleOps     int     // applied ops not yet reflected in gen.ix
 }
@@ -137,23 +138,16 @@ type Dynamic struct {
 	buildOpt core.Options
 	pow      []float64 // pow[l] = c^l, l in [0, depth]
 
+	// The state is (generation, pending ops, published CSR): cur's CSR is
+	// the generation's base graph with pending applied, and pending alone
+	// records staleness (its targets seed the affected frontier).
 	cur atomic.Pointer[view]
 
-	// mu guards the mutable bookkeeping below and serializes view
-	// publication (queries never take it).
-	mu        sync.Mutex
-	edges     map[uint64]struct{} // authoritative current edge set
-	dirtyAll  map[int32]struct{}  // in-neighborhood changes since the serving index's base
-	dirtySnap map[int32]struct{}  // same, since the in-flight rebuild snapshot (nil when idle)
-	staleOps  int
-	staleSnap int
-	// pending are the applied ops the serving index does not reflect, in
-	// application order — the replayable form of dirtyAll (staleOps ==
-	// len(pending)). pendingSnap tracks the same tail relative to the
-	// in-flight rebuild snapshot, valid while dirtySnap is non-nil.
-	pending     []Op
-	pendingSnap []Op
-	wal         *durable.Log // nil without Options.Durable
+	// mu guards pending and the WAL and serializes view publication
+	// (queries never take it).
+	mu      sync.Mutex
+	pending []Op         // applied ops the serving index does not reflect, in order
+	wal     *durable.Log // nil without Options.Durable
 
 	rebuildMu  sync.Mutex // serializes rebuilds
 	rebuilding atomic.Bool
@@ -236,12 +230,6 @@ func newDynamic(g *graph.Graph, ix *core.Index, o Options) *Dynamic {
 	for l := 0; l <= d.depth; l++ {
 		d.pow[l] = math.Pow(c, float64(l))
 	}
-	d.edges = make(map[uint64]struct{}, g.NumEdges())
-	g.Edges(func(from, to graph.NodeID) bool {
-		d.edges[edgeKey(from, to)] = struct{}{}
-		return true
-	})
-	d.dirtyAll = make(map[int32]struct{})
 	gen := &generation{num: 1, ix: ix, pool: ix.NewScratchPool()}
 	d.cur.Store(&view{gen: gen, g: g})
 	d.est.New = func() interface{} { return newSSScratch(d.n) }
@@ -291,6 +279,10 @@ func (d *Dynamic) applyOne(op Op) (bool, error) {
 // a durable index fails to journal the batch — in both cases no op was
 // applied.
 //
+// Each op is decided against the published CSR plus the ops staged
+// before it; the ops that change the edge set join the pending ops, and
+// the CSR they yield is published on the same generation.
+//
 // On a durable index the batch is journaled before any state mutates
 // (journal-before-apply): an acknowledged op is on disk before it is
 // visible to any query, so Restore can never miss one.
@@ -305,103 +297,122 @@ func (d *Dynamic) Apply(ops []Op) ([]OpResult, int, error) {
 	}
 	res := make([]OpResult, len(ops))
 	d.mu.Lock()
-	// Stage first: decide every op's fate against an overlay of the edge
-	// set without touching it, so a journaling failure leaves the index
+	// Stage first: decide every op against an overlay on the published
+	// graph without touching it, so a journaling failure leaves the index
 	// exactly as it was.
-	staged := make(map[uint64]bool)
-	var applied []Op
+	st := newStage(d.cur.Load().g)
 	for i, op := range ops {
-		if op.From < 0 || int(op.From) >= d.n || op.To < 0 || int(op.To) >= d.n {
-			res[i].Err = fmt.Errorf("dynamic: edge (%d,%d) out of range [0,%d)", op.From, op.To, d.n)
-			continue
-		}
-		k := edgeKey(op.From, op.To)
-		present, ok := staged[k]
-		if !ok {
-			_, present = d.edges[k]
-		}
-		if present == op.Add {
-			continue // add of present edge / remove of absent edge: no-op
-		}
-		staged[k] = op.Add
-		res[i].Applied = true
-		applied = append(applied, op)
+		res[i].Applied, res[i].Err = st.decide(op)
 	}
-	if len(applied) == 0 {
+	if len(st.ops) == 0 {
 		d.mu.Unlock()
 		return res, 0, nil
 	}
 	if d.wal != nil {
-		if _, err := d.wal.Append(journalOps(applied)); err != nil {
+		if _, err := d.wal.Append(journalOps(st.ops)); err != nil {
 			d.mu.Unlock()
-			return nil, 0, fmt.Errorf("dynamic: journaling %d op(s): %w", len(applied), err)
+			return nil, 0, fmt.Errorf("dynamic: journaling %d op(s): %w", len(st.ops), err)
 		}
 	}
-	d.commitLocked(applied)
-	trigger := d.thresh > 0 && d.staleOps >= d.thresh
+	d.commitLocked(st)
+	trigger := d.thresh > 0 && len(d.pending) >= d.thresh
 	d.mu.Unlock()
 	if trigger {
 		d.TriggerRebuild()
 	}
-	return res, len(applied), nil
+	return res, len(st.ops), nil
 }
 
-// commitLocked mutates the edge set and staleness bookkeeping with an
-// already-staged (and, when durable, already-journaled) op sequence and
-// publishes a fresh view. Caller holds mu.
-func (d *Dynamic) commitLocked(applied []Op) {
-	for _, op := range applied {
-		k := edgeKey(op.From, op.To)
-		if op.Add {
-			d.edges[k] = struct{}{}
-		} else {
-			delete(d.edges, k)
-		}
-		d.dirtyAll[op.To] = struct{}{}
-		if d.dirtySnap != nil {
-			d.dirtySnap[op.To] = struct{}{}
-		}
-	}
-	d.pending = append(d.pending, applied...)
-	d.staleOps += len(applied)
-	if d.dirtySnap != nil {
-		d.pendingSnap = append(d.pendingSnap, applied...)
-		d.staleSnap += len(applied)
-	}
-	d.totalOps.Add(uint64(len(applied)))
-	d.publishLocked()
+// stage overlays staged edge presence on a CSR graph. Its decide is the
+// one rule for every op: Apply stages a batch on the published graph,
+// and Restore re-stages journaled ops on the graph they were applied to.
+type stage struct {
+	g       *graph.Graph
+	present map[uint64]bool // staged presence by edgeKey; overrides g
+	ops     []Op            // the staged ops, each of which changed the edge set
 }
 
-// publishLocked rebuilds the CSR snapshot from the edge set, recomputes
-// the affected frontier, and publishes a fresh view on the current
+func newStage(g *graph.Graph) *stage {
+	return &stage{g: g, present: make(map[uint64]bool)}
+}
+
+// decide range-checks op and reports whether it changes the edge set
+// staged so far; adding a present edge or removing a missing one does
+// not. An op that does is staged.
+func (s *stage) decide(op Op) (bool, error) {
+	if n := s.g.NumNodes(); op.From < 0 || int(op.From) >= n || op.To < 0 || int(op.To) >= n {
+		return false, fmt.Errorf("dynamic: edge (%d,%d) out of range [0,%d)", op.From, op.To, n)
+	}
+	k := edgeKey(op.From, op.To)
+	present, ok := s.present[k]
+	if !ok {
+		present = s.g.HasEdge(op.From, op.To)
+	}
+	if present == op.Add {
+		return false, nil
+	}
+	s.present[k] = op.Add
+	s.ops = append(s.ops, op)
+	return true, nil
+}
+
+// next builds the CSR of the staged edge set: g's edges minus the staged
+// removes, plus the staged adds. With nothing staged that is g itself,
+// so a restore with no pending ops publishes the base graph it loaded.
+func (s *stage) next() *graph.Graph {
+	if len(s.ops) == 0 {
+		return s.g
+	}
+	b := graph.NewBuilder(s.g.NumNodes())
+	s.g.Edges(func(from, to graph.NodeID) bool {
+		if present, ok := s.present[edgeKey(from, to)]; !ok || present {
+			b.AddEdge(from, to)
+		}
+		return true
+	})
+	for k, present := range s.present {
+		if present {
+			b.AddEdge(graph.NodeID(k>>32), graph.NodeID(uint32(k)))
+		}
+	}
+	return b.Build()
+}
+
+// commitLocked appends a staged (and, when durable, journaled) batch to
+// the pending ops and publishes the graph it yields on the current
 // generation. Caller holds mu.
-func (d *Dynamic) publishLocked() {
-	b := graph.NewBuilder(d.n)
-	for k := range d.edges {
-		b.AddEdge(graph.NodeID(k>>32), graph.NodeID(uint32(k)))
-	}
-	g := b.Build()
-	aff, list := affectedFrontier(g, d.dirtyAll, d.depth)
-	old := d.cur.Load()
-	d.cur.Store(&view{gen: old.gen, g: g, affected: aff, affectedList: list, staleOps: d.staleOps})
+func (d *Dynamic) commitLocked(st *stage) {
+	d.pending = append(d.pending, st.ops...)
+	d.totalOps.Add(uint64(len(st.ops)))
+	d.publishLocked(d.cur.Load().gen, st.next())
+}
+
+// publishLocked publishes g on gen with the affected frontier of the
+// pending ops. Caller holds mu.
+func (d *Dynamic) publishLocked(gen *generation, g *graph.Graph) {
+	aff, list := affectedFrontier(g, d.pending, d.depth)
+	d.cur.Store(&view{gen: gen, g: g, affected: aff, affectedList: list, staleOps: len(d.pending)})
 }
 
 // affectedFrontier marks every node within forward distance depth of a
-// dirty node (a node whose in-neighborhood changed): exactly the nodes
-// whose truncated reverse-walk distribution may differ from the index's
-// base graph. A node y is visited at step j < depth of some node u's
-// reverse walk iff the graph has a forward path y -> … -> u of length j,
-// so BFS along out-edges from the dirty set covers every such u.
-func affectedFrontier(g *graph.Graph, dirty map[int32]struct{}, depth int) ([]bool, []int32) {
-	if len(dirty) == 0 {
+// pending op's target (a node whose in-neighborhood changed): exactly the
+// nodes whose truncated reverse-walk distribution may differ from the
+// index's base graph. A node y is visited at step j < depth of some node
+// u's reverse walk iff the graph has a forward path y -> … -> u of length
+// j, so BFS along out-edges from the targets covers every such u.
+func affectedFrontier(g *graph.Graph, pending []Op, depth int) ([]bool, []int32) {
+	if len(pending) == 0 {
 		return nil, nil
 	}
 	aff := make([]bool, g.NumNodes())
-	frontier := make([]int32, 0, len(dirty))
-	for v := range dirty {
-		aff[v] = true
-		frontier = append(frontier, v)
+	var frontier []int32
+	for _, op := range pending {
+		if !aff[op.To] {
+			aff[op.To] = true
+			frontier = append(frontier, op.To)
+		}
 	}
+	list := make([]int32, 0, len(frontier))
 	for step := 0; step < depth && len(frontier) > 0; step++ {
 		var next []int32
 		for _, v := range frontier {
@@ -414,7 +425,6 @@ func affectedFrontier(g *graph.Graph, dirty map[int32]struct{}, depth int) ([]bo
 		}
 		frontier = next
 	}
-	list := make([]int32, 0, len(dirty))
 	for v, a := range aff {
 		if a {
 			list = append(list, int32(v))
@@ -426,9 +436,10 @@ func affectedFrontier(g *graph.Graph, dirty map[int32]struct{}, depth int) ([]bo
 // Rebuild synchronously rebuilds the index over the current graph and
 // swaps it in as a new epoch, returning the epoch this call produced —
 // not whatever epoch is serving afterwards, so concurrent rebuilds each
-// learn their own swap. Updates applied while the rebuild runs stay
-// pending (they form the new epoch's affected frontier); with no
-// concurrent updates the swapped index is byte-identical to a fresh
+// learn their own swap. The swap keeps the published CSR and drops the
+// pending ops the new index covers. Updates applied while the rebuild
+// runs stay pending (they form the new epoch's affected frontier); with
+// no concurrent updates the swapped index is byte-identical to a fresh
 // core.Build of the mutated graph with the same options. On a durable
 // index the swap also writes a snapshot; if that fails the new epoch is
 // already serving and the epoch is returned alongside the error.
@@ -471,7 +482,7 @@ func (d *Dynamic) TriggerRebuild() bool {
 // already warrant.
 func (d *Dynamic) retriggerIfStale() {
 	d.mu.Lock()
-	stale := d.thresh > 0 && d.staleOps >= d.thresh
+	stale := d.thresh > 0 && len(d.pending) >= d.thresh
 	d.mu.Unlock()
 	if stale {
 		d.TriggerRebuild()
@@ -484,38 +495,30 @@ func (d *Dynamic) rebuildLocked() (uint64, error) {
 	}
 	d.running.Store(true)
 	defer d.running.Store(false)
+	// The build's graph covers the first at pending ops. rebuildMu
+	// serializes rebuilds and pending only grows until the swap below, so
+	// the ops past at are exactly those applied while the build ran.
 	d.mu.Lock()
 	snap := d.cur.Load().g
-	d.dirtySnap = make(map[int32]struct{})
-	d.staleSnap = 0
-	d.pendingSnap = nil
+	at := len(d.pending)
 	d.mu.Unlock()
 
 	opt := d.buildOpt
 	ix, err := core.Build(snap, &opt)
+	if err != nil {
+		return 0, err
+	}
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if err != nil {
-		d.dirtySnap = nil
-		d.pendingSnap = nil
-		return 0, err
-	}
 	if d.closed.Load() {
 		// Close raced the build: discard the result instead of swapping.
-		d.dirtySnap = nil
-		d.pendingSnap = nil
 		return 0, ErrClosed
 	}
 	old := d.cur.Load()
 	gen := &generation{num: old.gen.num + 1, ix: ix, pool: ix.NewScratchPool()}
-	d.dirtyAll = d.dirtySnap
-	d.dirtySnap = nil
-	d.staleOps = d.staleSnap
-	d.pending = d.pendingSnap
-	d.pendingSnap = nil
-	aff, list := affectedFrontier(old.g, d.dirtyAll, d.depth)
-	d.cur.Store(&view{gen: gen, g: old.g, affected: aff, affectedList: list, staleOps: d.staleOps})
+	d.pending = append([]Op(nil), d.pending[at:]...)
+	d.publishLocked(gen, old.g)
 	d.rebuilds.Add(1)
 	d.retire(old.gen)
 	if d.wal != nil {
@@ -638,27 +641,23 @@ func (d *Dynamic) singleSource(w *view, u graph.NodeID, out []float64) []float64
 // descending score order, ties by ascending node ID — the same selection
 // the static index uses, over the dynamic score vector.
 func (d *Dynamic) TopK(u graph.NodeID, k int) []core.TopEntry {
+	return d.top(u, k, u)
+}
+
+// SourceTop returns the limit highest-scoring nodes for source u (u
+// itself included) in descending score order, ties by ascending node ID.
+func (d *Dynamic) SourceTop(u graph.NodeID, limit int) []core.TopEntry {
+	return d.top(u, limit, -1)
+}
+
+func (d *Dynamic) top(u graph.NodeID, k int, skip graph.NodeID) []core.TopEntry {
 	if k <= 0 {
 		return nil
 	}
 	w := d.acquire()
 	defer d.release(w.gen)
 	vec := w.gen.pool.Vector()
-	top := core.SelectTop(d.singleSource(w, u, *vec), k, u)
-	w.gen.pool.PutVector(vec)
-	return top
-}
-
-// SourceTop returns the limit highest-scoring nodes for source u (u
-// itself included) in descending score order, ties by ascending node ID.
-func (d *Dynamic) SourceTop(u graph.NodeID, limit int) []core.TopEntry {
-	if limit <= 0 {
-		return nil
-	}
-	w := d.acquire()
-	defer d.release(w.gen)
-	vec := w.gen.pool.Vector()
-	top := core.SelectTop(d.singleSource(w, u, *vec), limit, -1)
+	top := core.SelectTop(d.singleSource(w, u, *vec), k, skip)
 	w.gen.pool.PutVector(vec)
 	return top
 }

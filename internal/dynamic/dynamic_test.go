@@ -10,7 +10,8 @@ import (
 )
 
 // randomGraph returns a random directed graph and the edge set it was
-// built from (the test's mirror of Dynamic's authoritative edge map).
+// built from (the test's mirror of the edge set Dynamic publishes as its
+// current graph).
 func randomGraph(n, m int, seed uint64) (*graph.Graph, map[uint64]struct{}) {
 	r := rng.New(seed)
 	edges := make(map[uint64]struct{})
@@ -77,6 +78,79 @@ func applyRandomOps(t *testing.T, d *Dynamic, edges map[uint64]struct{}, n, coun
 	return applied
 }
 
+// applyRandomBatches sends count multi-op Apply batches through d and
+// mirrors every op into edges in batch order. Each batch adds and then
+// removes one edge among random ops and may carry an out-of-range op, so
+// an op must be decided against the ops staged before it in its batch.
+func applyRandomBatches(t *testing.T, d *Dynamic, edges map[uint64]struct{}, n, count int, seed uint64) {
+	t.Helper()
+	r := rng.New(seed)
+	randomOp := func() Op {
+		return Op{Add: r.Intn(2) == 0, From: graph.NodeID(r.Intn(n)), To: graph.NodeID(r.Intn(n))}
+	}
+	for b := 0; b < count; b++ {
+		var ops []Op
+		for i := r.Intn(3); i > 0; i-- {
+			ops = append(ops, randomOp())
+		}
+		u, v := graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n))
+		ops = append(ops, Op{Add: true, From: u, To: v}, Op{From: u, To: v})
+		for i := r.Intn(3); i > 0; i-- {
+			ops = append(ops, randomOp())
+		}
+		if r.Intn(3) == 0 {
+			ops = append(ops, Op{Add: true, From: graph.NodeID(n) + u, To: v})
+		}
+		res, applied, err := d.Apply(ops)
+		if err != nil {
+			t.Fatalf("batch %d: %v", b, err)
+		}
+		want := 0
+		for i, op := range ops {
+			if int(op.From) >= n {
+				if res[i].Err == nil || res[i].Applied {
+					t.Fatalf("batch %d op %d: out-of-range op gave %+v", b, i, res[i])
+				}
+				continue
+			}
+			did := op.Add != contains(edges, op.From, op.To)
+			if op.Add {
+				edges[edgeKey(op.From, op.To)] = struct{}{}
+			} else {
+				delete(edges, edgeKey(op.From, op.To))
+			}
+			if res[i].Applied != did || res[i].Err != nil {
+				t.Fatalf("batch %d op %+v: result %+v, mirror says applied=%v", b, op, res[i], did)
+			}
+			if did {
+				want++
+			}
+		}
+		if applied != want {
+			t.Fatalf("batch %d: applied = %d, mirror counts %d", b, applied, want)
+		}
+	}
+}
+
+// checkMirror requires d's published graph to pass the CSR invariants
+// and to hold exactly the mirrored edge set.
+func checkMirror(t *testing.T, d *Dynamic, edges map[uint64]struct{}) {
+	t.Helper()
+	g := d.Graph()
+	if err := g.Validate(); err != nil {
+		t.Fatalf("published graph: %v", err)
+	}
+	if g.NumEdges() != len(edges) {
+		t.Fatalf("published graph has %d edges, mirror %d", g.NumEdges(), len(edges))
+	}
+	g.Edges(func(from, to graph.NodeID) bool {
+		if !contains(edges, from, to) {
+			t.Fatalf("published graph holds %d->%d, mirror does not", from, to)
+		}
+		return true
+	})
+}
+
 func contains(edges map[uint64]struct{}, u, v graph.NodeID) bool {
 	_, ok := edges[edgeKey(u, v)]
 	return ok
@@ -106,6 +180,8 @@ func TestRebuildEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		applyRandomOps(t, d, edges, tc.n, tc.ops, tc.seed+100)
+		applyRandomBatches(t, d, edges, tc.n, tc.ops/4, tc.seed+200)
+		checkMirror(t, d, edges)
 		if _, err := d.Rebuild(); err != nil {
 			t.Fatal(err)
 		}
@@ -351,9 +427,10 @@ func TestRetriggerAfterSwapBacklog(t *testing.T) {
 	}
 	defer d.Close()
 	// Reproduce the post-swap state directly: pending ops at the
-	// threshold with no rebuild running and no Apply forthcoming.
+	// threshold with no rebuild running and no Apply forthcoming. Only
+	// their count matters to the trigger.
 	d.mu.Lock()
-	d.staleOps = 3
+	d.pending = make([]Op, 3)
 	d.mu.Unlock()
 	d.retriggerIfStale()
 	deadline := time.Now().Add(10 * time.Second)

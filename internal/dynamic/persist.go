@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"sling/internal/core"
 	"sling/internal/durable"
@@ -24,13 +25,15 @@ var ErrStateExists = errors.New("dynamic: durable directory already holds state 
 
 // Restore reopens the durable state in o.Durable.Dir: the newest valid
 // snapshot supplies the epoch index (deserialized against its base
-// graph), the mutated edge set, and the pending-op tail; WAL records past
-// the snapshot are then replayed. The result answers bitwise-identically
-// to the lost instance — the SLIX round trip preserves float bits, the
-// replayed ops reproduce the exact staleness frontier, and the Monte
-// Carlo estimator is a pure function of (options, graph) — provided o
-// carries the same build options, walk budget, and seeds the state was
-// created with (they are not persisted).
+// graph) and the pending-op tail, whose replay onto the base graph must
+// yield the snapshot's mutated edge set; WAL records past the snapshot
+// are then replayed. Both replays decide each op by the rule Apply uses,
+// and an op that rule rejects or finds a no-op is damage. The result
+// answers bitwise-identically to the lost instance — the SLIX round trip
+// preserves float bits, the replayed ops reproduce the exact staleness
+// frontier, and the Monte Carlo estimator is a pure function of
+// (options, graph) — provided o carries the same build options, walk
+// budget, and seeds the state was created with (they are not persisted).
 //
 // Torn WAL tails were already truncated at the last valid record by
 // recovery; any damage that could hide an acknowledged op fails here
@@ -76,53 +79,58 @@ func restoreFrom(wal *durable.Log, o Options) (*Dynamic, error) {
 	// the two sections were written together, so any disagreement means
 	// damage the per-file CRCs could not see (e.g. a restored backup
 	// mixing generations).
-	if err := d.replayLocked(snap.Pending); err != nil {
+	st := newStage(base)
+	if err := st.replay(snap.Pending); err != nil {
 		return nil, fmt.Errorf("%w: snapshot pending ops: %v", durable.ErrCorrupt, err)
 	}
-	if len(d.edges) != len(snap.Edges) {
-		return nil, fmt.Errorf("%w: snapshot edge set has %d edges, base+pending yields %d",
-			durable.ErrCorrupt, len(snap.Edges), len(d.edges))
+	d.pending = st.ops // already counted in snap.TotalOps
+	d.totalOps.Store(snap.TotalOps)
+	st = newStage(st.next())
+	if !sameEdges(st.g, snap.Edges) {
+		return nil, fmt.Errorf("%w: snapshot edge set (%d edges) disagrees with base+pending (%d edges)",
+			durable.ErrCorrupt, len(snap.Edges), st.g.NumEdges())
 	}
-	for _, e := range snap.Edges {
-		if _, ok := d.edges[edgeKey(e.From, e.To)]; !ok {
-			return nil, fmt.Errorf("%w: snapshot edge set and pending ops disagree on (%d,%d)",
-				durable.ErrCorrupt, e.From, e.To)
-		}
-	}
-	// Then the WAL tail past the snapshot.
+	// Then the WAL tail past the snapshot, staged as one batch so the
+	// restored state is published once.
 	for _, rec := range wal.Tail() {
-		if err := d.replayLocked(rec.Ops); err != nil {
+		if err := st.replay(rec.Ops); err != nil {
 			return nil, fmt.Errorf("%w: WAL record %d: %v", durable.ErrCorrupt, rec.LSN, err)
 		}
 	}
-	d.totalOps.Store(snap.TotalOps + uint64(len(d.pending)-len(snap.Pending)))
-	d.staleOps = len(d.pending)
-	d.publishLocked()
+	d.commitLocked(st)
 	return d, nil
 }
 
-// replayLocked strictly re-applies journaled ops: every op must mutate
-// the edge set exactly as it did originally (a no-op during replay means
-// the log and the state diverged). Caller holds mu; the caller publishes
-// once after the full replay.
-func (d *Dynamic) replayLocked(ops []durable.Op) error {
+// replay strictly re-stages journaled ops: every op must change the edge
+// set exactly as it did originally (a no-op during replay means the log
+// and the state diverged).
+func (s *stage) replay(ops []durable.Op) error {
 	for _, op := range ops {
-		if op.From < 0 || int(op.From) >= d.n || op.To < 0 || int(op.To) >= d.n {
-			return fmt.Errorf("edge (%d,%d) out of range [0,%d)", op.From, op.To, d.n)
+		changed, err := s.decide(Op{Add: op.Add, From: op.From, To: op.To})
+		if err != nil {
+			return err
 		}
-		k := edgeKey(op.From, op.To)
-		if _, exists := d.edges[k]; exists == op.Add {
+		if !changed {
 			return fmt.Errorf("journaled op (add=%t %d->%d) is a no-op against the replayed state", op.Add, op.From, op.To)
 		}
-		if op.Add {
-			d.edges[k] = struct{}{}
-		} else {
-			delete(d.edges, k)
-		}
-		d.dirtyAll[op.To] = struct{}{}
-		d.pending = append(d.pending, Op{Add: op.Add, From: op.From, To: op.To})
 	}
 	return nil
+}
+
+// sameEdges reports whether edges, a snapshot's edge section in any
+// order, is exactly g's edge set.
+func sameEdges(g *graph.Graph, edges []durable.Edge) bool {
+	keys := make([]uint64, len(edges))
+	for i, e := range edges {
+		keys[i] = edgeKey(e.From, e.To)
+	}
+	slices.Sort(keys)
+	want := make([]uint64, 0, g.NumEdges())
+	g.Edges(func(from, to graph.NodeID) bool {
+		want = append(want, edgeKey(from, to))
+		return true
+	})
+	return slices.Equal(keys, want)
 }
 
 // Snapshot manually captures the current state (epoch index, edge set,
@@ -142,9 +150,10 @@ func (d *Dynamic) Snapshot() (uint64, error) {
 	return d.snapshotLocked()
 }
 
-// snapshotLocked writes the serving state as a snapshot. Caller holds mu
-// (pending, the edge set, and the WAL position cannot move) and
-// guarantees d.wal is non-nil.
+// snapshotLocked writes the serving state as a snapshot: the generation's
+// index and base graph, the published CSR's edges, and the pending ops.
+// Caller holds mu (pending, the published view, and the WAL position
+// cannot move) and guarantees d.wal is non-nil.
 func (d *Dynamic) snapshotLocked() (uint64, error) {
 	w := d.cur.Load()
 	base := w.gen.ix.Graph()
@@ -152,28 +161,30 @@ func (d *Dynamic) snapshotLocked() (uint64, error) {
 	if _, err := w.gen.ix.WriteTo(&buf); err != nil {
 		return 0, err
 	}
-	baseEdges := make([]durable.Edge, 0, base.NumEdges())
-	base.Edges(func(from, to graph.NodeID) bool {
-		baseEdges = append(baseEdges, durable.Edge{From: from, To: to})
-		return true
-	})
-	edges := make([]durable.Edge, 0, len(d.edges))
-	for k := range d.edges {
-		edges = append(edges, durable.Edge{From: int32(k >> 32), To: int32(uint32(k))})
-	}
 	s := &durable.Snapshot{
 		Epoch:     w.gen.num,
 		TotalOps:  d.totalOps.Load(),
 		BaseNodes: base.NumNodes(),
-		BaseEdges: baseEdges,
+		BaseEdges: edgeList(base),
 		Index:     buf.Bytes(),
-		Edges:     edges,
+		Edges:     edgeList(w.g),
 		Pending:   journalOps(d.pending),
 	}
 	if err := d.wal.WriteSnapshot(s); err != nil {
 		return 0, err
 	}
 	return s.LSN, nil
+}
+
+// edgeList lists g's edges in (from, to) order, the form of a snapshot's
+// edge sections.
+func edgeList(g *graph.Graph) []durable.Edge {
+	out := make([]durable.Edge, 0, g.NumEdges())
+	g.Edges(func(from, to graph.NodeID) bool {
+		out = append(out, durable.Edge{From: from, To: to})
+		return true
+	})
+	return out
 }
 
 // journalOps converts applied ops to their journal form.

@@ -148,7 +148,8 @@ func TestDurableRestoreReplaysWALTail(t *testing.T) {
 
 // The epoch swap writes a snapshot, so a restore after Rebuild reloads
 // the rebuilt index (not the original plus a replay) and answers
-// bit-identically with a clean frontier.
+// bit-identically with a clean frontier, serving the base graph it
+// loaded rather than a second copy of it.
 func TestDurableRestoreAfterRebuild(t *testing.T) {
 	dir := t.TempDir()
 	g, edges := randomGraph(20, 60, 7)
@@ -176,6 +177,9 @@ func TestDurableRestoreAfterRebuild(t *testing.T) {
 	defer r.Close()
 	if st := r.Stats(); st.Epoch != 2 || st.StaleOps != 0 || st.AffectedNodes != 0 {
 		t.Fatalf("restored post-rebuild stats %+v, want clean epoch 2", st)
+	}
+	if r.Graph() != r.cur.Load().gen.ix.Graph() {
+		t.Fatal("restore with nothing pending holds a second copy of the base graph")
 	}
 	compareBitwise(t, "post-rebuild restore", d, r, 20, 6)
 }
@@ -448,4 +452,99 @@ func TestDurableCloseReleasesDir(t *testing.T) {
 			t.Fatalf("stray tmp file %s", e.Name())
 		}
 	}
+}
+
+// Restore must refuse, with durable.ErrCorrupt, durable state that
+// replays to something other than what was journaled: a snapshot whose
+// edge section disagrees with base + pending, a WAL record that re-adds
+// a present edge, and a WAL record naming a node outside the graph. Each
+// case tampers with a closed instance's directory through the durable
+// API, so every file still passes its CRC.
+func TestRestoreRejectsInconsistentState(t *testing.T) {
+	const n = 16
+	g, _ := randomGraph(n, 40, 71)
+	opts := func(dir string) Options {
+		return Options{Build: core.Options{Eps: 0.1, Seed: 72}, NumWalks: 16, Durable: durableFor(dir)}
+	}
+	// closedState leaves a directory whose newest snapshot carries a
+	// pending tail and whose WAL has records past it.
+	closedState := func() string {
+		dir := t.TempDir()
+		d, err := New(g, opts(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ops := range [][]Op{
+			{{Add: true, From: 0, To: 9}, {From: 0, To: 9}, {Add: true, From: 3, To: 5}},
+			{{Add: true, From: 6, To: 2}},
+		} {
+			if _, _, err := d.Apply(ops); err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				if _, err := d.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		d.Close()
+		return dir
+	}
+	// rewrite re-journals the newest snapshot with its edge section
+	// replaced.
+	rewrite := func(edit func([]durable.Edge) []durable.Edge) func(*durable.Log) error {
+		return func(lg *durable.Log) error {
+			s := *lg.Snapshot()
+			s.Edges = edit(append([]durable.Edge(nil), s.Edges...))
+			return lg.WriteSnapshot(&s)
+		}
+	}
+	cases := []struct {
+		name   string
+		tamper func(*durable.Log) error
+		want   string // names the check that must fire
+	}{
+		{"snapshot edges drop one", rewrite(func(es []durable.Edge) []durable.Edge {
+			return es[1:]
+		}), "disagrees with base"},
+		{"snapshot edges repeat one", rewrite(func(es []durable.Edge) []durable.Edge {
+			es[0] = es[1]
+			return es
+		}), "disagrees with base"},
+		{"WAL re-adds a present edge", func(lg *durable.Log) error {
+			e := lg.Snapshot().Edges[0]
+			_, err := lg.Append([]durable.Op{{Add: true, From: e.From, To: e.To}})
+			return err
+		}, "no-op"},
+		{"WAL names a node past n", func(lg *durable.Log) error {
+			_, err := lg.Append([]durable.Op{{Add: true, From: 2, To: n}})
+			return err
+		}, "out of range"},
+	}
+	for _, tc := range cases {
+		dir := closedState()
+		lg, err := durable.Open(*durableFor(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.tamper(lg); err != nil {
+			t.Fatalf("%s: tampering: %v", tc.name, err)
+		}
+		lg.Close()
+		d, err := Restore(opts(dir))
+		if err == nil {
+			d.Close()
+			t.Fatalf("%s: Restore accepted the tampered state", tc.name)
+		}
+		if !errors.Is(err, durable.ErrCorrupt) || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: Restore error %q, want durable.ErrCorrupt naming %q", tc.name, err, tc.want)
+		}
+	}
+	// The untampered state restores, so each refusal above is the
+	// tampering's doing.
+	d, err := Restore(opts(closedState()))
+	if err != nil {
+		t.Fatalf("pristine state: %v", err)
+	}
+	d.Close()
 }

@@ -7,10 +7,9 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"sync"
-	"sync/atomic"
 
 	"sling"
+	"sling/internal/core"
 )
 
 // POST /batch executes a list of query operations in one round trip,
@@ -85,38 +84,12 @@ func (t *tenant) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	ctx := r.Context()
 	results := make([]interface{}, len(ops))
-	workers := t.s.cfg.BatchWorkers
-	if workers > len(ops) {
-		workers = len(ops)
-	}
-	if workers <= 1 {
-		for i, op := range ops {
-			if ctx.Err() != nil {
-				break
-			}
-			results[i] = t.runOp(ctx, op)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					if ctx.Err() != nil {
-						return
-					}
-					i := int(next.Add(1)) - 1
-					if i >= len(ops) {
-						return
-					}
-					results[i] = t.runOp(ctx, ops[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	// runOp never fails, so ForEach stops only when ctx does; the check
+	// below accounts for the ops it never ran.
+	_ = core.ForEach(ctx, len(ops), t.s.cfg.BatchWorkers, nil, func(i int, _ struct{}) error {
+		results[i] = t.runOp(ctx, ops[i])
+		return nil
+	})
 	if err := ctx.Err(); err != nil {
 		// Account the operations that never ran, then pick the response:
 		// a cancelled context means the client is gone — log and drop
