@@ -37,6 +37,22 @@ func TestFirstBatchFormula(t *testing.T) {
 	}
 }
 
+func TestCertificateFormula(t *testing.T) {
+	// log(2/0.01)/0.1 = 52.98 -> 53.
+	if got := CertificateSamples(0.1, 0.01); got != 53 {
+		t.Fatalf("CertificateSamples = %d, want 53", got)
+	}
+	// The certificate's samples open Algorithm 4's pilot batch at δ/2,
+	// so they must never outnumber it.
+	for _, eps := range []float64{1e-4, 0.01, 0.3, 0.999} {
+		for _, delta := range []float64{1e-12, 0.01, 0.5, 0.999} {
+			if n0, nr := CertificateSamples(eps, delta), FirstBatchSamples(eps, delta/2); n0 > nr {
+				t.Fatalf("eps=%v delta=%v: certificate %d > pilot batch %d", eps, delta, n0, nr)
+			}
+		}
+	}
+}
+
 // The estimator must hit its accuracy target nearly always; test across a
 // spread of true means including both phases of the adaptive algorithm.
 func TestEstimateAccuracy(t *testing.T) {
@@ -78,22 +94,38 @@ func TestEstimateFixedAccuracy(t *testing.T) {
 	}
 }
 
-// The whole point of Algorithm 4: when μ is small the adaptive estimator
-// stops after the pilot batch, far below the fixed-size sampler.
+// The whole point of the certificate and Algorithm 4: when μ is small
+// the estimator stops after the certificate's n₀ samples if none
+// succeeds, and otherwise after Algorithm 4's pilot batch at δ/2, far
+// below the fixed-size sampler either way.
 func TestAdaptiveCheapWhenMeanSmall(t *testing.T) {
 	const eps, delta = 0.01, 0.01
 	r := rng.New(44)
-	res, err := Estimate(coin(r, 0.001), eps, delta)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fixed := FixedSamples(eps, delta)
-	if res.Samples*10 > fixed {
-		t.Fatalf("adaptive used %d samples; fixed would use %d — no saving", res.Samples, fixed)
+	n0, pilot := CertificateSamples(eps, delta), FirstBatchSamples(eps, delta/2)
+	var certified, piloted int
+	for i := 0; i < 20; i++ {
+		res, err := Estimate(coin(r, 0.001), eps, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Samples*10 > fixed {
+			t.Fatalf("adaptive used %d samples; fixed would use %d — no saving", res.Samples, fixed)
+		}
+		switch {
+		case res.Mean == 0 && res.Samples == n0:
+			certified++
+		case res.Mean > 0 && res.Samples == pilot:
+			piloted++
+		default:
+			t.Fatalf("small-mean case stopped at %d samples (mean %v); want %d with no hit or %d after the pilot batch",
+				res.Samples, res.Mean, n0, pilot)
+		}
 	}
-	if res.Samples != FirstBatchSamples(eps, delta) {
-		t.Fatalf("small-mean case should stop after pilot batch: %d vs %d",
-			res.Samples, FirstBatchSamples(eps, delta))
+	// At μ = 0.001 the n₀ = 530 samples all fail with probability ~0.59,
+	// so 20 runs take both exits.
+	if certified == 0 || piloted == 0 {
+		t.Fatalf("exits taken: %d certified, %d after the pilot batch; want both", certified, piloted)
 	}
 }
 
@@ -105,7 +137,7 @@ func TestAdaptiveSecondPhaseEngages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Samples <= FirstBatchSamples(eps, delta) {
+	if res.Samples <= FirstBatchSamples(eps, delta/2) {
 		t.Fatalf("second phase did not engage for mu=0.6 (samples=%d)", res.Samples)
 	}
 	// Sanity: still bounded by a constant times the fixed count.
@@ -156,8 +188,35 @@ func TestDegenerateAlwaysFalse(t *testing.T) {
 	if res.Mean != 0 {
 		t.Fatalf("mean of constant-false sampler = %v", res.Mean)
 	}
-	if res.Samples != FirstBatchSamples(0.1, 0.1) {
-		t.Fatal("constant-false sampler should stop after pilot batch")
+	if want := CertificateSamples(0.1, 0.1); res.Samples != want {
+		t.Fatalf("constant-false sampler took %d samples; the certificate stops it at %d", res.Samples, want)
+	}
+}
+
+// The certificate answers 0 after n₀ failures. Just above ε that answer
+// is wrong with probability (1−μ)^n₀ ≤ δ/2, and Algorithm 4 at δ/2 spends
+// the other half, so the estimator's failure rate must stay within δ
+// where the certificate is most often wrong. An n₀ half as large would
+// fail ~0.3 of the runs at μ = 0.0505.
+func TestZeroHitCertificateWorstCase(t *testing.T) {
+	const eps, delta, trials = 0.05, 0.2, 4000
+	for i, mu := range []float64{0.0505, 0.06, 0.1} {
+		r := rng.New(uint64(500 + i))
+		fails := 0
+		for j := 0; j < trials; j++ {
+			res, err := Estimate(coin(r, mu), eps, delta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(res.Mean-mu) > eps {
+				fails++
+			}
+		}
+		if rate := float64(fails) / trials; rate > delta {
+			t.Errorf("mu=%v: failure rate %v over %d runs exceeds delta=%v", mu, rate, trials, delta)
+		} else {
+			t.Logf("mu=%v: failure rate %v", mu, rate)
+		}
 	}
 }
 

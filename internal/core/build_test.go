@@ -45,7 +45,7 @@ func TestBuildGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("hash recorded on amd64; other targets may fuse multiply-adds")
 	}
-	const want = "2738992bddee2e24666a882f3a30df88d11dfeda660a1fd9075921c1597b4ab9"
+	const want = "23ed89e253ca084ab680d17a08ab88752c54cdee8fe9248b9c5652a5dba3481b"
 	spec, ok := workload.ByName("Wiki-Vote")
 	if !ok {
 		t.Fatal("no Wiki-Vote stand-in")

@@ -117,7 +117,10 @@ func TestCorrectionFactorExactCases(t *testing.T) {
 	b.AddEdge(0, 3)
 	g := b.Build()
 	const c = 0.6
-	x := buildIndex(t, g, &Options{C: c, Eps: 0.05, Seed: 5})
+	x, st, err := BuildWithStats(g, &Options{C: c, Eps: 0.05, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if x.D(1) != 1 || x.D(2) != 1 {
 		t.Fatalf("dangling d values %v, %v", x.D(1), x.D(2))
 	}
@@ -125,9 +128,12 @@ func TestCorrectionFactorExactCases(t *testing.T) {
 		t.Fatalf("single-parent d = %v, want %v", x.D(3), 1-c)
 	}
 	// Node 0: walks from 1 and 2 never meet after step 0 (both dangle),
-	// so s(1,2)=0 and d_0 = 1 - c/2.
-	if math.Abs(x.D(0)-(1-c/2)) > x.EpsD() {
-		t.Fatalf("d_0 = %v, want %v ± %v", x.D(0), 1-c/2, x.EpsD())
+	// so s(1,2)=0 and d_0 = 1 - c/2 exactly, with nothing sampled.
+	if math.Abs(x.D(0)-(1-c/2)) > 1e-12 {
+		t.Fatalf("d_0 = %v, want %v", x.D(0), 1-c/2)
+	}
+	if st.WalkPairs != 0 {
+		t.Fatalf("every d_k is exact, yet the build drew %d walk pairs", st.WalkPairs)
 	}
 }
 

@@ -18,11 +18,20 @@ import (
 // Estimating μ within ε_d/c makes d̃_k accurate within ε_d.
 
 // dSampler returns the Bernoulli sampler above for node k, or nil when no
-// sampling is needed because d_k is known exactly:
-// d_k = 1 for |I(k)| = 0 and d_k = 1−c for |I(k)| = 1 (μ = 0 exactly).
+// sampling is needed because d_k is known exactly. That is so in three
+// cases:
+//
+//   - |I(k)| = 0: no walk leaves k, so d_k = 1;
+//   - |I(k)| = 1: there is no pair i ≠ j, so μ = 0 and d_k = 1 − c;
+//   - at most one in-neighbor of k has in-edges: every pair i ≠ j holds
+//     one whose walk cannot take step 1, so no two walks meet after
+//     step 0, μ = 0 and d_k = 1 − c/|I(k)|.
+//
+// The third case covers the second; estimateD answers both from the
+// formula, with the bits a sampled μ̂ = 0 gives.
 func dSampler(g *graph.Graph, w *walk.Walker, k graph.NodeID) bernoulli.Sampler {
 	ins := g.InNeighbors(k)
-	if len(ins) <= 1 {
+	if !twoCanStep(g, ins) {
 		return nil
 	}
 	n := len(ins)
@@ -36,20 +45,37 @@ func dSampler(g *graph.Graph, w *walk.Walker, k graph.NodeID) bernoulli.Sampler 
 	}
 }
 
+// twoCanStep reports whether at least two of ins have in-edges, the
+// least a meeting after step 0 needs.
+func twoCanStep(g *graph.Graph, ins []graph.NodeID) bool {
+	stepping := 0
+	for _, i := range ins {
+		if g.InDegree(i) > 0 {
+			stepping++
+			if stepping == 2 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // estimateD returns d̃_k with |d̃_k − d_k| ≤ εd with probability ≥ 1−δd.
-// With basic=false it uses the adaptive Algorithm 4 (expected
-// O((μ+ε*)/ε*²·log(1/δd)) samples, ε* = εd/c); with basic=true the fixed
-// Algorithm 1 (O(1/ε*²·log(1/δd)) samples). It also reports the number of
-// √c-walk pairs consumed, for the Section 5.1 ablation.
+// Where dSampler finds d_k exact it draws nothing. Otherwise, with
+// basic=false it uses bernoulli.Estimate, the adaptive Algorithm 4 behind
+// a zero-hit certificate (expected O((μ+ε*)/ε*²·log(1/δd)) samples,
+// ε* = εd/c, and ⌈ln(2/δd)/ε*⌉ when no pair meets); with basic=true the
+// fixed Algorithm 1 (O(1/ε*²·log(1/δd)) samples). It also reports the
+// number of √c-walk pairs consumed, for the Section 5.1 ablation.
 func estimateD(g *graph.Graph, w *walk.Walker, k graph.NodeID, prm resolved) (dk float64, pairs int) {
 	ins := g.InNeighbors(k)
-	switch len(ins) {
-	case 0:
+	if len(ins) == 0 {
 		return 1, 0
-	case 1:
-		return 1 - prm.c, 0
 	}
 	sampler := dSampler(g, w, k)
+	if sampler == nil {
+		return 1 - prm.c/float64(len(ins)), 0
+	}
 	epsStar := prm.epsD / prm.c
 	if epsStar >= 1 {
 		epsStar = 0.999

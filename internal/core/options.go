@@ -51,8 +51,11 @@ type Options struct {
 	// Default ε(1−√c)(1−c)/(4√c) (≈0.000727 at the paper's settings).
 	Theta float64
 	// Delta is the overall preprocessing failure probability; each d̃_k is
-	// estimated with failure budget Delta/n. Default 1/n (so δ_d = 1/n²,
-	// as in Section 7.1).
+	// estimated with failure budget δ_d = Delta/n. Default 1/n (so
+	// δ_d = 1/n², as in Section 7.1). The adaptive estimator splits δ_d in
+	// half: δ_d/2 for its zero-hit certificate (μ̂ = 0 after
+	// ⌈ln(2/δ_d)/ε*⌉ walk pairs with no meeting, ε* = ε_d/c) and δ_d/2 for
+	// Algorithm 4 on the same walk pairs.
 	Delta float64
 	// Workers bounds build parallelism (Section 5.4). Default 1. The d̃
 	// and HP passes hand target nodes to workers one at a time (ForEach),
@@ -65,8 +68,9 @@ type Options struct {
 	// worker count.
 	Seed uint64
 	// BasicEstimator selects Algorithm 1 (fixed sample count) instead of
-	// the adaptive Algorithm 4 for d̃ estimation. Exists for the paper's
-	// Section 5.1 comparison; Algorithm 4 is strictly better in practice.
+	// the adaptive Algorithm 4, behind its zero-hit certificate, for d̃
+	// estimation. Exists for the paper's Section 5.1 comparison; the
+	// adaptive estimator is strictly better in practice.
 	BasicEstimator bool
 	// DisableSpaceReduction turns off the Section 5.2 optimization that
 	// drops recomputable step-1/2 HPs from the index.

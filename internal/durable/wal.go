@@ -44,7 +44,7 @@ type Log struct {
 	active   *os.File
 	segBytes int64 // size of the active segment
 
-	snap *Snapshot // recovered snapshot (nil on a fresh dir)
+	snap *Snapshot // recovered snapshot (nil on a fresh dir or once released)
 	tail []Record  // records with LSN > snap.LSN, ascending
 
 	written   int64 // record bytes appended in-process (fault injection)
@@ -320,12 +320,32 @@ func encodeRecord(lsn uint64, ops []Op) []byte {
 }
 
 // Snapshot returns the snapshot recovery loaded, nil on a fresh
-// directory. The caller must not mutate it.
-func (l *Log) Snapshot() *Snapshot { return l.snap }
+// directory or once ReleaseRecovered has run. The caller must not mutate
+// it.
+func (l *Log) Snapshot() *Snapshot {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.snap
+}
 
 // Tail returns the recovered records past the snapshot, in LSN order, for
-// replay. The caller must not mutate them.
-func (l *Log) Tail() []Record { return l.tail }
+// replay; nil once ReleaseRecovered has run. The caller must not mutate
+// them.
+func (l *Log) Tail() []Record {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.tail
+}
+
+// ReleaseRecovered drops the recovered snapshot and WAL tail, which a
+// restore needs only until it has replayed them: the snapshot alone holds
+// the index bytes and two edge lists. Appends, WriteSnapshot and Stats
+// do not use them.
+func (l *Log) ReleaseRecovered() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.snap, l.tail = nil, nil
+}
 
 // LastLSN returns the LSN of the most recent acknowledged append (or the
 // recovered snapshot/tail position right after Open).

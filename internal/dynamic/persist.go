@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"sling/internal/core"
@@ -38,6 +39,8 @@ var ErrStateExists = errors.New("dynamic: durable directory already holds state 
 // Torn WAL tails were already truncated at the last valid record by
 // recovery; any damage that could hide an acknowledged op fails here
 // with durable.ErrCorrupt rather than restoring silently-wrong state.
+// Once the replayed state is live the log drops its recovered snapshot
+// and tail (durable.Log.ReleaseRecovered), which it no longer needs.
 func Restore(o Options) (*Dynamic, error) {
 	if o.Durable == nil {
 		return nil, ErrNotDurable
@@ -59,11 +62,10 @@ func restoreFrom(wal *durable.Log, o Options) (*Dynamic, error) {
 	if snap == nil {
 		return nil, ErrNoState
 	}
-	b := graph.NewBuilder(snap.BaseNodes)
-	for _, e := range snap.BaseEdges {
-		b.AddEdge(e.From, e.To)
+	base, err := baseGraph(snap)
+	if err != nil {
+		return nil, err
 	}
-	base := b.Build()
 	ix, err := core.ReadIndex(bytes.NewReader(snap.Index), base)
 	if err != nil {
 		return nil, fmt.Errorf("dynamic: reading snapshot index: %w", err)
@@ -98,7 +100,27 @@ func restoreFrom(wal *durable.Log, o Options) (*Dynamic, error) {
 		}
 	}
 	d.commitLocked(st)
+	// The replayed state is live; the log's copy of it is garbage.
+	wal.ReleaseRecovered()
 	return d, nil
+}
+
+// baseGraph builds a snapshot's base graph. The edge section is checked
+// against BaseNodes first: graph.Builder panics on an out-of-range node,
+// and a CRC-valid section naming one is damage like any other.
+func baseGraph(snap *durable.Snapshot) (*graph.Graph, error) {
+	n := snap.BaseNodes
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("%w: snapshot base node count %d exceeds the node ID range", durable.ErrCorrupt, n)
+	}
+	b := graph.NewBuilder(n)
+	for _, e := range snap.BaseEdges {
+		if e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n {
+			return nil, fmt.Errorf("%w: snapshot base edge (%d,%d) out of range [0,%d)", durable.ErrCorrupt, e.From, e.To, n)
+		}
+		b.AddEdge(e.From, e.To)
+	}
+	return b.Build(), nil
 }
 
 // replay strictly re-stages journaled ops: every op must change the edge

@@ -184,6 +184,61 @@ func TestDurableRestoreAfterRebuild(t *testing.T) {
 	compareBitwise(t, "post-rebuild restore", d, r, 20, 6)
 }
 
+// Restore replays the log's recovered snapshot and WAL tail, then has
+// the log drop them: a restored instance holds its log for appends, and
+// the snapshot alone carries the index bytes and two edge lists. The
+// instance must still snapshot, rebuild and close, and a later restore
+// must see what it wrote.
+func TestRestoreReleasesRecoveredState(t *testing.T) {
+	dir := t.TempDir()
+	g, edges := randomGraph(20, 60, 81)
+	opts := Options{Build: core.Options{Eps: 0.1, Seed: 82}, NumWalks: 16, Durable: durableFor(dir)}
+	d, err := New(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyRandomOps(t, d, edges, 20, 20, 83)
+	if _, err := d.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	applyRandomOps(t, d, edges, 20, 20, 84)
+	d.Close()
+
+	lg, err := durable.Open(*durableFor(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lg.Snapshot() == nil || len(lg.Tail()) == 0 {
+		t.Fatal("setup left no snapshot and WAL tail to recover")
+	}
+	lg.Close()
+
+	r, err := Restore(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.wal.Snapshot() != nil || r.wal.Tail() != nil {
+		t.Fatal("restored log still holds the recovered snapshot or WAL tail")
+	}
+	applyRandomOps(t, r, edges, 20, 10, 85)
+	if _, err := r.Snapshot(); err != nil {
+		t.Fatalf("Snapshot after restore: %v", err)
+	}
+	if epoch, err := r.Rebuild(); err != nil || epoch != 2 {
+		t.Fatalf("Rebuild after restore: epoch %d, err %v; want epoch 2", epoch, err)
+	}
+	r.Close()
+
+	again, err := Restore(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if st := again.Stats(); st.Epoch != 2 || st.StaleOps != 0 {
+		t.Fatalf("second restore stats %+v, want clean epoch 2", st)
+	}
+}
+
 // Snapshot is the manual checkpoint: it must cover every journaled op
 // (LSN equality with the WAL head) and cut the tail a later restore has
 // to replay.
@@ -490,12 +545,14 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 		d.Close()
 		return dir
 	}
-	// rewrite re-journals the newest snapshot with its edge section
-	// replaced.
-	rewrite := func(edit func([]durable.Edge) []durable.Edge) func(*durable.Log) error {
+	// rewrite re-journals the newest snapshot with its edge sections
+	// edited on copies.
+	rewrite := func(edit func(s *durable.Snapshot)) func(*durable.Log) error {
 		return func(lg *durable.Log) error {
 			s := *lg.Snapshot()
-			s.Edges = edit(append([]durable.Edge(nil), s.Edges...))
+			s.Edges = append([]durable.Edge(nil), s.Edges...)
+			s.BaseEdges = append([]durable.Edge(nil), s.BaseEdges...)
+			edit(&s)
 			return lg.WriteSnapshot(&s)
 		}
 	}
@@ -504,13 +561,18 @@ func TestRestoreRejectsInconsistentState(t *testing.T) {
 		tamper func(*durable.Log) error
 		want   string // names the check that must fire
 	}{
-		{"snapshot edges drop one", rewrite(func(es []durable.Edge) []durable.Edge {
-			return es[1:]
+		{"snapshot edges drop one", rewrite(func(s *durable.Snapshot) {
+			s.Edges = s.Edges[1:]
 		}), "disagrees with base"},
-		{"snapshot edges repeat one", rewrite(func(es []durable.Edge) []durable.Edge {
-			es[0] = es[1]
-			return es
+		{"snapshot edges repeat one", rewrite(func(s *durable.Snapshot) {
+			s.Edges[0] = s.Edges[1]
 		}), "disagrees with base"},
+		{"snapshot base edge names node n", rewrite(func(s *durable.Snapshot) {
+			s.BaseEdges[0].To = n
+		}), "out of range"},
+		{"snapshot base node count past the node ID range", rewrite(func(s *durable.Snapshot) {
+			s.BaseNodes = math.MaxInt32 + 1
+		}), "node ID range"},
 		{"WAL re-adds a present edge", func(lg *durable.Log) error {
 			e := lg.Snapshot().Edges[0]
 			_, err := lg.Append([]durable.Op{{Add: true, From: e.From, To: e.To}})

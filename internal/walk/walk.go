@@ -29,6 +29,9 @@ type Walker struct {
 	// are below it, which is exactly r.Bernoulli(√c) as one integer
 	// compare.
 	goOn uint64
+	// bothOn is ⌈c·2⁵³⌉, the same compare for Bernoulli(c): two
+	// independent √c-walks both continue a step with probability c.
+	bothOn uint64
 	// r is held by value so the per-step draw needs no pointer hop.
 	r rng.Source
 }
@@ -42,7 +45,13 @@ func New(g *graph.Graph, c float64, r *rng.Source) *Walker {
 		panic(fmt.Sprintf("walk: decay factor %v out of (0,1)", c))
 	}
 	sqrtC := math.Sqrt(c)
-	return &Walker{g: g, c: c, sqrtC: sqrtC, goOn: uint64(math.Ceil(sqrtC * (1 << 53))), r: *r}
+	return &Walker{g: g, c: c, sqrtC: sqrtC, goOn: threshold(sqrtC), bothOn: threshold(c), r: *r}
+}
+
+// threshold returns ⌈p·2⁵³⌉: a draw whose top 53 bits fall below it
+// succeeds with probability exactly p, as in r.Bernoulli(p).
+func threshold(p float64) uint64 {
+	return uint64(math.Ceil(p * (1 << 53)))
 }
 
 // C returns the decay factor.
@@ -89,21 +98,7 @@ func (w *Walker) SqrtCWalk(u graph.NodeID, buf []graph.NodeID) []graph.NodeID {
 // whether they meet (same node at the same step, including step 0).
 // By Lemma 3 the true meeting probability is exactly s(u, v).
 func (w *Walker) PairMeets(u, v graph.NodeID) bool {
-	if u == v {
-		return true
-	}
-	cu, cv := u, v
-	for {
-		nu, okU := w.step(cu)
-		nv, okV := w.step(cv)
-		if !okU || !okV {
-			return false
-		}
-		if nu == nv {
-			return true
-		}
-		cu, cv = nu, nv
-	}
+	return u == v || w.PairMeetsAfterStart(u, v)
 }
 
 // PairMeetsAfterStart is PairMeets conditioned to ignore a meeting at step
@@ -111,18 +106,24 @@ func (w *Walker) PairMeets(u, v graph.NodeID) bool {
 // sampling primitive of Algorithms 1 and 4 (estimation of the correction
 // factor dₖ), where the two walks start at distinct in-neighbors but may
 // still collide later.
+//
+// The walks advance in lockstep, and a meeting needs both to continue at
+// every step up to it. So each step draws one Bernoulli(c) coin for "both
+// continue" instead of two independent Bernoulli(√c) coins, then a
+// uniform in-neighbor for each walk: the meeting law is the same.
 func (w *Walker) PairMeetsAfterStart(u, v graph.NodeID) bool {
-	cu, cv := u, v
 	for {
-		nu, okU := w.step(cu)
-		nv, okV := w.step(cv)
-		if !okU || !okV {
+		if w.r.Uint64()>>11 >= w.bothOn {
 			return false
 		}
-		if nu == nv {
+		iu, iv := w.g.InNeighbors(u), w.g.InNeighbors(v)
+		if len(iu) == 0 || len(iv) == 0 {
+			return false
+		}
+		u, v = iu[w.r.Intn(len(iu))], iv[w.r.Intn(len(iv))]
+		if u == v {
 			return true
 		}
-		cu, cv = nu, nv
 	}
 }
 

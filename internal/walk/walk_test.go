@@ -70,6 +70,33 @@ func TestStopCoinIsBernoulli(t *testing.T) {
 	}
 }
 
+// The pair kernel's "both continue" coin is the same compare against
+// ⌈c·2⁵³⌉, so it is exactly rng.Bernoulli(c): on a cycle two walks from
+// different nodes never meet, and each lockstep step draws the coin and
+// then, on continuing, one Intn(1) per walk.
+func TestPairCoinIsBernoulli(t *testing.T) {
+	for _, c := range []float64{1e-9, 0.25, 0.6, 0.8} {
+		w := New(cycle(3), c, rng.New(1))
+		k := w.bothOn
+		if !(float64(k-1)/(1<<53) < c) || float64(k)/(1<<53) < c {
+			t.Fatalf("c=%v: threshold %d is not ⌈c·2⁵³⌉", c, k)
+		}
+		ref := rng.New(1)
+		for i := 0; i < 2000; i++ {
+			if w.PairMeetsAfterStart(0, 1) {
+				t.Fatalf("c=%v: walks met on a cycle", c)
+			}
+			for ref.Bernoulli(c) {
+				ref.Intn(1)
+				ref.Intn(1)
+			}
+		}
+		if w.Rng().Uint64() != ref.Uint64() {
+			t.Fatalf("c=%v: walker stream drifted from the reference", c)
+		}
+	}
+}
+
 func TestWalkLengthGeometric(t *testing.T) {
 	// On a cycle every node has an in-neighbor, so walk length (number of
 	// steps taken) is geometric with success probability 1-√c and mean
@@ -161,6 +188,27 @@ func TestMeetProbabilitySharedParent(t *testing.T) {
 	got := w.MeetProbability(0, 1, 300000)
 	if math.Abs(got-c) > 0.006 {
 		t.Fatalf("meet probability %v, want about c=%v", got, c)
+	}
+}
+
+// I(i) = {p, q} and I(j) = {p, r}, with p, q, r sources: the walks meet
+// iff both continue one step (probability c) and both pick p
+// (probability 1/4), so s(i, j) = c/4.
+func TestMeetProbabilityOneSharedParent(t *testing.T) {
+	const i, j, p, q, r = 0, 1, 2, 3, 4
+	b := graph.NewBuilder(5)
+	b.AddEdge(p, i)
+	b.AddEdge(q, i)
+	b.AddEdge(p, j)
+	b.AddEdge(r, j)
+	g := b.Build()
+	const c, draws = 0.6, 200000
+	w := New(g, c, rng.New(37))
+	got := w.MeetProbability(i, j, draws)
+	want := c / 4
+	sigma := math.Sqrt(want * (1 - want) / draws)
+	if math.Abs(got-want) > 5*sigma {
+		t.Fatalf("meet probability %v, want %v ± %v (5σ)", got, want, 5*sigma)
 	}
 }
 
