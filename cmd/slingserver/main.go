@@ -11,9 +11,9 @@
 // With -disk the index file stays on disk (Section 5.4): only O(n)
 // metadata is memory-resident and queries fetch HP entries with
 // concurrent positioned reads over pooled scratch. Adding -mmap
-// memory-maps the index instead and serves the entries as zero-copy
-// typed views — no read syscalls, no decode, the OS page cache is the
-// only cache; on platforms without mmap support it falls back to
+// memory-maps the index instead and serves the entries as typed views
+// — no read syscalls, one widening pass per fetch, the OS page cache is
+// the only cache; on platforms without mmap support it falls back to
 // positioned reads and says so.
 //
 // With -dynamic the graph accepts edge updates while serving: POST

@@ -170,6 +170,9 @@ func cmdStats(args []string) error {
 		return err
 	}
 	st := ix.Stats()
+	// Open verified every section checksum and entry, or it would have
+	// failed.
+	fmt.Printf("format:           SLIX v%d, %d node bits, checksums ok\n", st.Version, st.NodeBits)
 	fmt.Printf("nodes:            %d\n", st.Nodes)
 	fmt.Printf("HP entries:       %d (avg %.1f/node, max %d, theoretical cap %.0f)\n",
 		st.Entries, st.AvgEntries, st.MaxEntries, st.TheoreticalCap)

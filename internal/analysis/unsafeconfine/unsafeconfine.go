@@ -1,10 +1,10 @@
 // Package unsafeconfine forbids the unsafe package outside
 // sling/internal/mmap.
 //
-// Invariant: the zero-copy disk mode reinterprets memory-mapped file
-// bytes as []uint64 / []float64 views, and that reinterpretation is
+// Invariant: the mapped disk mode reinterprets memory-mapped file
+// bytes as []uint32 / []float32 views, and that reinterpretation is
 // only sound under conditions internal/mmap checks centrally — host
-// little-endianness, 8-byte base alignment, whole-word lengths, and a
+// little-endianness, 4-byte base alignment, whole-word lengths, and a
 // mapping whose lifetime outlives every view. Any other unsafe use
 // would re-derive those preconditions ad hoc (or forget one), and a
 // missed check surfaces as silent data corruption or a SIGBUS in

@@ -88,9 +88,10 @@ func BuildWithStats(g *graph.Graph, o *Options) (*Index, BuildStats, error) {
 	}
 
 	// Phase 4: assemble the per-node CSR by a counting scatter over the
-	// worker outputs, then sort each node's entries by (step, target)
-	// key. Which worker produced an entry, and so the order the scatter
-	// sees it in, depends on scheduling; a node's keys are unique
+	// worker outputs, packing each key to 32 bits and rounding each value
+	// to float32 as it lands, then sort each node's entries by (step,
+	// target) key. Which worker produced an entry, and so the order the
+	// scatter sees it in, depends on scheduling; a node's keys are unique
 	// (step, target) pairs, so the sort alone fixes the final layout.
 	keep := func(e hpEntry) bool {
 		if !x.reduced[e.x] {
@@ -114,16 +115,16 @@ func BuildWithStats(g *graph.Graph, o *Options) (*Index, BuildStats, error) {
 	for v := 0; v < n; v++ {
 		x.off[v+1] += x.off[v]
 	}
-	x.keys = make([]uint64, total)
-	x.vals = make([]float64, total)
+	x.keys = make([]uint32, total)
+	x.vals = make([]float32, total)
 	cursor := make([]int64, n)
 	copy(cursor, x.off[:n])
 	for _, w := range outs {
 		for _, e := range w.out {
 			if keep(e) {
 				c := cursor[e.x]
-				x.keys[c] = e.key
-				x.vals[c] = e.val
+				x.keys[c] = packKey(e.key, prm.nodeBits)
+				x.vals[c] = float32(e.val)
 				cursor[e.x]++
 			}
 		}
@@ -159,10 +160,11 @@ func twoHopVolume(g *graph.Graph, v graph.NodeID) int64 {
 // heapsort rather than sort.Sort: boxing a two-slice sorter into
 // sort.Interface heap-allocates on every call, and sortEntries sits on
 // the query path (expandMarks), where the mapped disk mode promises
-// allocation-free queries. Keys within one node's H(v) are unique
-// (step, node) pairs except for the pre-fold additions in expandMarks,
-// so stability is not relied on.
-func sortEntries(keys []uint64, vals []float64) {
+// allocation-free queries. It sorts stored (packed) entries at build
+// time and query-width entries at query time. Keys within one node's
+// H(v) are unique (step, node) pairs except for the pre-fold additions
+// in expandMarks, so stability is not relied on.
+func sortEntries[K uint32 | uint64, V float32 | float64](keys []K, vals []V) {
 	n := len(keys)
 	for root := n/2 - 1; root >= 0; root-- {
 		siftEntries(keys, vals, root, n)
@@ -174,7 +176,7 @@ func sortEntries(keys []uint64, vals []float64) {
 	}
 }
 
-func siftEntries(keys []uint64, vals []float64, root, n int) {
+func siftEntries[K uint32 | uint64, V float32 | float64](keys []K, vals []V, root, n int) {
 	for {
 		child := 2*root + 1
 		if child >= n {
@@ -203,14 +205,15 @@ func (x *Index) buildMarks() {
 	var all []int32
 	type cand struct {
 		pos int32
-		val float64
+		val float32
 	}
 	var cands []cand
+	mask := uint32(1)<<x.prm.nodeBits - 1
 	for v := 0; v < n; v++ {
 		lo, hi := x.off[v], x.off[v+1]
 		cands = cands[:0]
 		for p := lo; p < hi; p++ {
-			target := keyNode(x.keys[p])
+			target := int32(x.keys[p] & mask)
 			if x.g.InDegree(target) <= degCap && x.g.InDegree(target) > 0 {
 				cands = append(cands, cand{pos: int32(p - lo), val: x.vals[p]})
 			}

@@ -183,11 +183,11 @@ func TestDiskScratchPoolConcurrent(t *testing.T) {
 // marksRegionOffset returns the byte offset of the marks array in a
 // serialized index with n nodes (see the format comment in serialize.go).
 func marksRegionOffset(n int) int {
-	return 92 + 8*n + (n+7)/8 + 2*8*(n+1)
+	return headerSize + 8*n + (n+7)/8 + 2*8*(n+1)
 }
 
 // corruptFirstMark returns a copy of data with the first mark value
-// overwritten by raw (little-endian uint32).
+// overwritten by raw (little-endian uint32) and the checksums resealed.
 func corruptFirstMark(t *testing.T, data []byte, n int, raw uint32) []byte {
 	t.Helper()
 	off := marksRegionOffset(n)
@@ -196,7 +196,9 @@ func corruptFirstMark(t *testing.T, data []byte, n int, raw uint32) []byte {
 	}
 	out := append([]byte(nil), data...)
 	binary.LittleEndian.PutUint32(out[off:], raw)
-	return out
+	// Reseal the checksums, so the marks bounds check rather than the
+	// metadata checksum is what rejects the file.
+	return resealSLIX(out)
 }
 
 // A SLIX file whose marks point outside the owning node's entry range

@@ -22,6 +22,8 @@ func buildSerialized(t testing.TB) []byte {
 
 // FuzzReadIndex: arbitrary bytes must never panic the deserializer; they
 // either parse (only possible for a structurally valid file) or error.
+// Each input is also tried with its checksums resealed, so mutations
+// reach the structural and entry checks behind them.
 func FuzzReadIndex(f *testing.F) {
 	valid := buildSerialized(f)
 	f.Add(valid)
@@ -31,19 +33,20 @@ func FuzzReadIndex(f *testing.F) {
 	corrupted := append([]byte(nil), valid...)
 	corrupted[50] ^= 0xff
 	f.Add(corrupted)
-	// A structurally valid file whose first mark is out of range: the
-	// marks bounds check must reject it rather than let queries index
-	// past a node's entries. (The corpus index was built with Enhance,
-	// so the marks region is non-empty.)
+	// A file whose first mark is out of range: the marks bounds check
+	// must reject it rather than let queries index past a node's
+	// entries. (The corpus index was built with Enhance, so the marks
+	// region is non-empty.)
 	badMark := append([]byte(nil), valid...)
 	if off := marksRegionOffset(20); off+4 <= len(badMark) {
 		badMark[off], badMark[off+1], badMark[off+2], badMark[off+3] = 0xff, 0xff, 0xff, 0x7f
 	}
-	f.Add(badMark)
+	f.Add(resealSLIX(badMark))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// nil graph skips only the node-count cross-check; all structural
 		// validation still runs.
 		_, _ = ReadIndex(bytes.NewReader(data), nil)
+		_, _ = ReadIndex(bytes.NewReader(resealSLIX(data)), nil)
 	})
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"sling/internal/graph"
@@ -9,7 +10,8 @@ import (
 
 // An HP entry h̃^(ℓ)(v, k) is keyed by key = ℓ<<32 | k, so a node's entries
 // sorted by key are ordered by (step, meeting node) — exactly the order the
-// Algorithm 3 merge join needs.
+// Algorithm 3 merge join needs. Every query-time list (gathered entries,
+// fragments, the shard wire format) uses this 64-bit key.
 func entryKey(l int, k int32) uint64 {
 	return uint64(l)<<32 | uint64(uint32(k))
 }
@@ -17,6 +19,18 @@ func entryKey(l int, k int32) uint64 {
 func keyStep(key uint64) int   { return int(key >> 32) }
 func keyNode(key uint64) int32 { return int32(uint32(key)) }
 func stepFloor(l int) uint64   { return uint64(l) << 32 }
+
+// A stored entry packs the same (step, node) pair into 32 bits,
+// ℓ<<nodeBits | k, where nodeBits leaves the high bits just wide enough
+// for maxStoredStep (see resolved.keyLayout). The packing is monotone in
+// (step, node), so stored keys sort exactly like their 64-bit forms.
+func packKey(key uint64, nodeBits uint) uint32 {
+	return uint32(key>>32)<<nodeBits | uint32(key)
+}
+
+func unpackKey(key uint32, nodeBits uint) uint64 {
+	return uint64(key>>nodeBits)<<32 | uint64(key&(1<<nodeBits-1))
+}
 
 // Index is an in-memory SLING index over a graph. It is immutable after
 // Build and safe for concurrent queries as long as each goroutine uses its
@@ -28,10 +42,13 @@ type Index struct {
 	d []float64 // d̃_k per node
 
 	// HP sets in CSR layout: entries of node v are
-	// keys/vals[off[v]:off[v+1]], sorted by key.
+	// keys/vals[off[v]:off[v+1]], sorted by key. Keys are packed to 32
+	// bits (packKey) and values rounded to float32 once, when the CSR is
+	// assembled, so a built index and a loaded one hold the same bits;
+	// entries widens a node's range to query width.
 	off  []int64
-	keys []uint64
-	vals []float64
+	keys []uint32
+	vals []float32
 
 	// reduced[v] marks nodes whose step-1/2 entries were dropped
 	// (Section 5.2) and must be recomputed exactly at query time.
@@ -69,11 +86,29 @@ func (x *Index) D(k graph.NodeID) float64 { return x.d[k] }
 // NumEntries returns the total number of stored HP entries.
 func (x *Index) NumEntries() int { return len(x.keys) }
 
-// EntriesOf returns node v's stored HP entries (aliasing internal
-// storage). With space reduction active this excludes the dropped
+// EntriesOf returns node v's stored HP entries, widened into fresh
+// slices. With space reduction active this excludes the dropped
 // step-1/2 entries; Entry-level consumers normally want gather instead.
 func (x *Index) EntriesOf(v graph.NodeID) (keys []uint64, vals []float64) {
-	return x.keys[x.off[v]:x.off[v+1]], x.vals[x.off[v]:x.off[v+1]]
+	var s Scratch
+	return x.widen(x.keys[x.off[v]:x.off[v+1]], x.vals[x.off[v]:x.off[v+1]], &s, 0)
+}
+
+// widen decodes stored entries into the scratch slot's query-width
+// buffers: the one decode step behind every fetch, whether the stored
+// columns are resident, mapped, or read from disk.
+func (x *Index) widen(keys []uint32, vals []float32, s *Scratch, slot int) ([]uint64, []float64) {
+	nb := x.prm.nodeBits
+	k := slices.Grow(s.fk[slot][:0], len(keys))[:len(keys)]
+	for i, key := range keys {
+		k[i] = unpackKey(key, nb)
+	}
+	v := slices.Grow(s.fv[slot][:0], len(vals))[:len(vals)]
+	for i, h := range vals {
+		v[i] = float64(h)
+	}
+	s.fk[slot], s.fv[slot] = k, v
+	return k, v
 }
 
 // Reduced reports whether node v's step-1/2 entries are recomputed at
@@ -85,8 +120,8 @@ func (x *Index) Reduced(v graph.NodeID) bool { return x.reduced[v] }
 func (x *Index) Bytes() int64 {
 	b := int64(len(x.d)) * 8
 	b += int64(len(x.off)) * 8
-	b += int64(len(x.keys)) * 8
-	b += int64(len(x.vals)) * 8
+	b += int64(len(x.keys)) * 4
+	b += int64(len(x.vals)) * 4
 	b += int64(len(x.reduced))
 	b += int64(len(x.markOff)) * 8
 	b += int64(len(x.marks)) * 4
@@ -104,6 +139,8 @@ type IndexStats struct {
 	MarkedEntries  int     // Section 5.3 marks
 	Bytes          int64
 	TheoreticalCap float64 // per-node bound Σ_ℓ (√c)^ℓ/θ = 1/(θ(1−√c))
+	Version        int     // SLIX format version the index serializes as
+	NodeBits       int     // low bits of a stored key that name the node
 }
 
 // Stats computes summary statistics.
@@ -114,6 +151,8 @@ func (x *Index) Stats() IndexStats {
 		Bytes:          x.Bytes(),
 		MarkedEntries:  len(x.marks),
 		TheoreticalCap: 1 / (x.prm.theta * (1 - x.prm.sqrtC)),
+		Version:        indexVersion,
+		NodeBits:       int(x.prm.nodeBits),
 	}
 	if st.Nodes > 0 {
 		st.AvgEntries = float64(st.Entries) / float64(st.Nodes)
@@ -128,7 +167,7 @@ func (x *Index) Stats() IndexStats {
 		}
 	}
 	for _, k := range x.keys {
-		if l := keyStep(k); l > st.MaxStep {
+		if l := int(k >> x.prm.nodeBits); l > st.MaxStep {
 			st.MaxStep = l
 		}
 	}

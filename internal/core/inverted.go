@@ -52,7 +52,7 @@ func (x *Index) BuildInverted() *Inverted {
 	var bufK []uint64
 	var bufV []float64
 	for v := 0; v < n; v++ {
-		stored, storedVals := x.EntriesOf(graph.NodeID(v))
+		stored, storedVals, _ := x.entries(graph.NodeID(v), s, 0)
 		keys, vals := stored, storedVals
 		if x.reduced[v] {
 			keys, vals = bufK[:0], bufV[:0]
@@ -124,7 +124,7 @@ func (iv *Inverted) SingleSource(u graph.NodeID, s *Scratch, out []float64) []fl
 	}
 	// Effective H(u) without the query-time enhancement, matching how the
 	// lists were built.
-	stored, storedVals := x.EntriesOf(u)
+	stored, storedVals, _ := x.entries(u, s, 0)
 	keys, vals := stored, storedVals
 	if x.reduced[u] {
 		k2, v2 := s.gk[0][:0], s.gv[0][:0]

@@ -21,6 +21,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // DefaultC is the decay factor used throughout the paper's experiments.
@@ -34,21 +35,30 @@ const DefaultEps = 0.025
 // touches at most γ/θ edges.
 const DefaultGamma = 10
 
+// valueRounding is ρ, the share of the error budget spent on storing
+// each h̃ as a float32. Round-to-nearest moves a stored value by at most
+// 2⁻²⁴ relative; a pair term multiplies two stored values and a
+// propagation seed uses one (exact step-1/2 entries and d̃ stay float64),
+// and the terms of one answer sum to at most 1 + ε, so rounding adds at
+// most ((1+2⁻²⁴)²−1)(1+ε) < 2⁻²² to any answer's error (README).
+const valueRounding = 0x1p-22
+
 // Options configures Build. The zero value reproduces the paper's
 // experimental configuration (c = 0.6, ε = 0.025, δ_d = 1/n²).
 type Options struct {
 	// C is the SimRank decay factor in (0,1). Default 0.6.
 	C float64
 	// Eps is the worst-case additive error guaranteed per score.
-	// Default 0.025. Used to derive EpsD and Theta when those are zero,
-	// splitting the Theorem 1 error budget evenly between the d̃ error
-	// term ε_d/(1−c) and the HP truncation term 2√c·θ/((1−√c)(1−c)).
+	// Default 0.025. Used to derive EpsD and Theta when those are zero:
+	// valueRounding is set aside for float32 storage and the rest,
+	// ε' = ε − valueRounding, is split evenly between the d̃ error term
+	// ε_d/(1−c) and the HP truncation term 2√c·θ/((1−√c)(1−c)).
 	Eps float64
 	// EpsD is the additive error target for each correction factor d̃_k.
-	// Default ε(1−c)/2 (0.005 at the paper's settings).
+	// Default ε'(1−c)/2 (≈0.005 at the paper's settings).
 	EpsD float64
 	// Theta is the hitting-probability pruning threshold θ of Algorithm 2.
-	// Default ε(1−√c)(1−c)/(4√c) (≈0.000727 at the paper's settings).
+	// Default ε'(1−√c)(1−c)/(4√c) (≈0.000727 at the paper's settings).
 	Theta float64
 	// Delta is the overall preprocessing failure probability; each d̃_k is
 	// estimated with failure budget δ_d = Delta/n. Default 1/n (so
@@ -99,6 +109,11 @@ type resolved struct {
 	basicEstimator bool
 	spaceReduction bool
 	enhance        bool
+
+	// The stored-key split (keyLayout): no stored step exceeds maxStep,
+	// and the low nodeBits bits of a stored key name the node.
+	maxStep  int
+	nodeBits uint
 }
 
 // resolve validates o against a graph of n nodes and fills defaults.
@@ -137,11 +152,12 @@ func (o *Options) resolve(n int) (resolved, error) {
 		return r, fmt.Errorf("core: eps %v out of (0,1)", r.eps)
 	}
 	r.sqrtC = math.Sqrt(r.c)
+	budget := r.eps - valueRounding
 	if r.epsD == 0 {
-		r.epsD = r.eps * (1 - r.c) / 2
+		r.epsD = budget * (1 - r.c) / 2
 	}
 	if r.theta == 0 {
-		r.theta = r.eps * (1 - r.sqrtC) * (1 - r.c) / (4 * r.sqrtC)
+		r.theta = budget * (1 - r.sqrtC) * (1 - r.c) / (4 * r.sqrtC)
 	}
 	if r.epsD <= 0 || r.epsD >= 1 {
 		return r, fmt.Errorf("core: epsD %v out of (0,1)", r.epsD)
@@ -167,12 +183,30 @@ func (o *Options) resolve(n int) (resolved, error) {
 	if r.gamma <= 0 {
 		return r, fmt.Errorf("core: gamma %v must be positive", r.gamma)
 	}
-	return r, nil
+	return r, r.keyLayout(n)
+}
+
+// keyLayout derives the stored-key split from c and θ and checks that it
+// can address n nodes. A stored step never exceeds maxStoredStep (beyond
+// it (√c)^ℓ ≤ θ), so the step takes the bits.Len(maxStep) high bits of a
+// 32-bit key and the node the nodeBits = 32 − bits.Len(maxStep) low bits:
+// 27 at the defaults (134M nodes), 25 at c = 0.8.
+func (r *resolved) keyLayout(n int) error {
+	if steps := math.Log(r.theta) / math.Log(r.sqrtC); !(steps >= 0 && steps < 1<<30) {
+		return fmt.Errorf("core: theta %v at c %v leaves no room for node IDs in a 32-bit key", r.theta, r.c)
+	}
+	r.maxStep = maxStoredStep(r.sqrtC, r.theta)
+	r.nodeBits = uint(32 - bits.Len(uint(r.maxStep)))
+	if int64(n) > 1<<r.nodeBits {
+		return fmt.Errorf("core: %d nodes exceed the %d a 32-bit key addresses at c %v, theta %v (%d node bits)",
+			n, int64(1)<<r.nodeBits, r.c, r.theta, r.nodeBits)
+	}
+	return nil
 }
 
 // ErrorBound returns the worst-case additive error implied by the resolved
-// (εd, θ) pair under Theorem 1:
-// ε = ε_d/(1−c) + 2√c·θ/((1−√c)(1−c)).
+// (εd, θ) pair under Theorem 1 plus float32 value storage:
+// ε = ε_d/(1−c) + 2√c·θ/((1−√c)(1−c)) + valueRounding.
 func (r resolved) errorBound() float64 {
-	return r.epsD/(1-r.c) + 2*r.sqrtC*r.theta/((1-r.sqrtC)*(1-r.c))
+	return r.epsD/(1-r.c) + 2*r.sqrtC*r.theta/((1-r.sqrtC)*(1-r.c)) + valueRounding
 }

@@ -90,7 +90,8 @@ func BuildOutOfCore(g *graph.Graph, o *Options, oo OutOfCoreOptions) (*Index, er
 	}
 	defer it.Close()
 
-	// The sorted stream arrives in final CSR order; append directly.
+	// The sorted stream arrives in final CSR order; append directly,
+	// packing and rounding exactly as Build's CSR assembly does.
 	x.off = make([]int64, n+1)
 	prev := int32(-1)
 	for {
@@ -108,8 +109,8 @@ func BuildOutOfCore(g *graph.Graph, o *Options, oo OutOfCoreOptions) (*Index, er
 			prev++
 			x.off[prev] = int64(len(x.keys))
 		}
-		x.keys = append(x.keys, rec.Key)
-		x.vals = append(x.vals, rec.Val)
+		x.keys = append(x.keys, packKey(rec.Key, prm.nodeBits))
+		x.vals = append(x.vals, float32(rec.Val))
 	}
 	for v := int(prev) + 1; v <= n; v++ {
 		x.off[v] = int64(len(x.keys))

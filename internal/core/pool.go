@@ -18,17 +18,18 @@ import (
 // reads. Disk answers are therefore bitwise-identical to memory
 // answers, and ReadAt I/O errors are the only errors a query can return.
 
-// entrySource fetches node v's stored HP entries. slot (0 or 1) names
-// the scratch buffers a positioned read decodes into, so the two
-// endpoints of a pair stay live at once. The result is read-only.
+// entrySource fetches node v's stored HP entries, widened to query
+// width (Index.widen) into the scratch buffers of slot (0 or 1), so the
+// two endpoints of a pair stay live at once. The result is read-only.
 type entrySource interface {
 	entries(v graph.NodeID, s *Scratch, slot int) ([]uint64, []float64, error)
 }
 
-// entries implements entrySource over the resident arrays; it never
+// entries implements entrySource over the resident columns; it never
 // fails.
-func (x *Index) entries(v graph.NodeID, _ *Scratch, _ int) ([]uint64, []float64, error) {
-	keys, vals := x.EntriesOf(v)
+func (x *Index) entries(v graph.NodeID, s *Scratch, slot int) ([]uint64, []float64, error) {
+	lo, hi := x.off[v], x.off[v+1]
+	keys, vals := x.widen(x.keys[lo:hi], x.vals[lo:hi], s, slot)
 	return keys, vals, nil
 }
 
@@ -39,7 +40,7 @@ func (x *Index) gatherAt(src entrySource, v graph.NodeID, s *Scratch, slot int) 
 	if err != nil {
 		return nil, nil, err
 	}
-	keys, vals := x.gatherFrom(v, stored, storedVals, s, &s.gk[slot], &s.gv[slot])
+	keys, vals := x.gatherFrom(v, stored, storedVals, s, slot)
 	return keys, vals, nil
 }
 

@@ -21,8 +21,9 @@ type Scratch struct {
 	gk [2][]uint64
 	gv [2][]float64
 
-	// Positioned-read fetch buffers of a ReadAt disk index: one node's
-	// raw entry bytes, decoded into one slot per endpoint.
+	// Fetch buffers: a node's stored entries widened to query width, one
+	// slot per endpoint, and the raw bytes a ReadAt disk index reads
+	// them from.
 	raw []byte
 	fk  [2][]uint64
 	fv  [2][]float64
@@ -113,27 +114,27 @@ func (x *Index) appendExactSteps12(v graph.NodeID, s *Scratch, keys []uint64, va
 // gather materializes the effective HP set of node v — stored entries,
 // with exact step-1/2 reconstruction when v is space-reduced and the
 // H*(v) enhancement expansion when the index was built with Enhance —
-// sorted by key.
-//
-// When v needs neither treatment the returned slices alias index storage
-// and *bufK/*bufV are untouched; otherwise the result is built in the
-// buffers, which are updated in place so their growth is kept. Either
-// way the result is read-only to the caller.
-func (x *Index) gather(v graph.NodeID, s *Scratch, bufK *[]uint64, bufV *[]float64) ([]uint64, []float64) {
-	stored, storedVals := x.EntriesOf(v)
-	return x.gatherFrom(v, stored, storedVals, s, bufK, bufV)
+// sorted by key, in s's buffers for slot. The result is read-only to the
+// caller and valid until the slot is next used.
+func (x *Index) gather(v graph.NodeID, s *Scratch, slot int) ([]uint64, []float64) {
+	stored, storedVals, _ := x.entries(v, s, slot)
+	return x.gatherFrom(v, stored, storedVals, s, slot)
 }
 
-// gatherFrom is gather over caller-supplied stored entries; it is the
-// shared path between the in-memory Index and the serving engine, which
-// fetches a node's entries from memory, a mapping, or positioned reads
-// before transforming them.
-func (x *Index) gatherFrom(v graph.NodeID, stored []uint64, storedVals []float64, s *Scratch, bufK *[]uint64, bufV *[]float64) ([]uint64, []float64) {
+// gatherFrom is gather over stored entries already widened into slot's
+// fetch buffers; it is the shared path between the in-memory Index and
+// the serving engine, which fetches a node's entries from memory, a
+// mapping, or positioned reads before transforming them.
+//
+// When v needs neither treatment the widened entries are the result;
+// otherwise the result is built in the slot's gather buffers, which are
+// updated in place so their growth is kept.
+func (x *Index) gatherFrom(v graph.NodeID, stored []uint64, storedVals []float64, s *Scratch, slot int) ([]uint64, []float64) {
 	enhance := x.prm.enhance && x.markOff[v+1] > x.markOff[v]
 	if !x.reduced[v] && !enhance {
 		return stored, storedVals
 	}
-	keys, vals := (*bufK)[:0], (*bufV)[:0]
+	keys, vals := s.gk[slot][:0], s.gv[slot][:0]
 	if x.reduced[v] {
 		// Stored layout: step 0, then steps >= 3. Interleave the exact
 		// steps 1-2 between them, preserving key order.
@@ -151,7 +152,7 @@ func (x *Index) gatherFrom(v graph.NodeID, stored []uint64, storedVals []float64
 		lo, hi := x.markOff[v], x.markOff[v+1]
 		keys, vals = x.expandMarks(x.marks[lo:hi], stored, storedVals, s, keys, vals)
 	}
-	*bufK, *bufV = keys, vals
+	s.gk[slot], s.gv[slot] = keys, vals
 	return keys, vals
 }
 
@@ -211,8 +212,8 @@ func (x *Index) SimRank(u, v graph.NodeID, s *Scratch) float64 {
 	if s == nil {
 		s = x.NewScratch()
 	}
-	ku, vu := x.gather(u, s, &s.gk[0], &s.gv[0])
-	kv, vv := x.gather(v, s, &s.gk[1], &s.gv[1])
+	ku, vu := x.gather(u, s, 0)
+	kv, vv := x.gather(v, s, 1)
 	return joinScore(ku, vu, kv, vv, x.d)
 }
 

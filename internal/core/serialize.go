@@ -5,46 +5,78 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"os"
+	"slices"
 
 	"sling/internal/atomicio"
 	"sling/internal/graph"
 	"sling/internal/mmap"
 )
 
-// Index file format (all little-endian):
+// Index file format, SLIX version 3 (all little-endian):
 //
 //	magic "SLIX" | version u32 | n u32 | flags u32 | pad u32
 //	c, eps, epsD, theta, delta, gamma f64 | seed u64
 //	numEntries u64 | numMarks u64
+//	crcHeader, crcMeta, crcKeys, crcVals u32    ← CRC-32C (Castagnoli)
 //	d        n × f64
 //	reduced  ⌈n/8⌉ bytes (bitmap)
 //	off      (n+1) × i64
 //	markOff  (n+1) × i64
 //	marks    numMarks × i32
-//	align    0–7 zero bytes so the keys region starts 8-byte aligned
-//	keys     numEntries × u64    ← columnar, 8-byte aligned
-//	vals     numEntries × f64    ← columnar, 8-byte aligned
+//	align    0–3 zero bytes so the keys region starts 4-byte aligned
+//	keys     numEntries × u32    ← step<<nodeBits | node, columnar
+//	vals     numEntries × f32    ← h̃ rounded to float32, columnar
+//
+// crcHeader covers the 92 header bytes before the checksums, crcMeta the
+// d̃ through align regions, and crcKeys and crcVals their columns.
+// nodeBits is not stored: it is derived from c and θ (keyLayout).
 //
 // Everything before the entries regions is O(n) and loaded eagerly; the
 // keys/vals regions support the paper's Section 5.4 disk-resident mode:
 // a single-pair query reads two contiguous node ranges per region with
 // positioned reads, a constant I/O cost since each H(v) is O(1/ε)
-// bytes. Version 2 stores the entries columnar (all keys, then all
-// vals) with deterministic alignment padding, so an mmap'd file can be
-// reinterpreted directly as []uint64 / []float64 views — the zero-copy
-// serving mode — while the ReadAt path reads the same two ranges it
-// always did.
+// bytes. The columns are fixed-width and 4-byte aligned, so a mapped
+// file can be viewed directly as []uint32 / []float32.
+//
+// Every loader makes one sequential pass over the whole file at open: it
+// verifies the four checksums and checks every entry (node < n, step ≤
+// maxStoredStep, keys strictly ascending within a node, value in
+// (0, 1]), so no query can be steered out of bounds by the file.
 const (
 	indexMagic   = "SLIX"
-	indexVersion = 2
+	indexVersion = 3
+
+	// headerFields is the size of the checksummed header fields and
+	// headerSize the whole header, checksums included.
+	headerFields = 92
+	headerSize   = headerFields + 16
 
 	flagEnhance        = 1 << 0
 	flagSpaceReduction = 1 << 1
 	flagBasicEstimator = 1 << 2
 )
+
+// readBuffer sizes the loaders' sequential reads.
+const readBuffer = 64 << 10
+
+// castagnoli is the CRC-32C table of the section checksums, the
+// polynomial the WAL and snapshots use.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// ErrCorrupt is wrapped by every error ReadIndex, LoadFile,
+// OpenDiskIndex and OpenDiskIndexMmap return for a damaged SLIX stream:
+// a checksum mismatch, a truncated or inconsistent section, or an entry
+// no build could have written. A wrong magic or version is not
+// corruption but a file this build does not read.
+var ErrCorrupt = errors.New("core: corrupt SLIX index")
+
+func corrupt(format string, a ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, a...)...)
+}
 
 func (x *Index) flags() uint32 {
 	var f uint32
@@ -61,30 +93,52 @@ func (x *Index) flags() uint32 {
 }
 
 // alignPad returns the number of zero bytes between the marks region
-// (ending at off) and the keys region, sized so keys starts 8-byte
+// (ending at off) and the keys region, sized so keys starts 4-byte
 // aligned. It is a pure function of the header counts, so reader and
 // writer always agree.
-func alignPad(off int64) int64 { return (8 - off%8) % 8 }
+func alignPad(off int64) int64 { return (4 - off%4) % 4 }
 
 // metaSize returns the byte offset where the alignment padding starts:
 // header plus every O(n) metadata region.
 func metaSize(n int, numMarks int64) int64 {
-	return 92 + int64(8*n) + int64((n+7)/8) + 2*int64(8*(n+1)) + 4*numMarks
+	return headerSize + int64(8*n) + int64((n+7)/8) + 2*int64(8*(n+1)) + 4*numMarks
 }
 
 // WriteTo serializes the index. It implements io.WriterTo. The
-// returned count is the number of bytes the underlying writer actually
-// accepted: counting sits beneath the internal buffer, so a failed
-// flush cannot over-report buffered-but-unwritten bytes.
+// metadata, key and value sections are each encoded twice: once into a
+// CRC-32C for the header, then into w. The returned count is the number
+// of bytes the underlying writer actually accepted: counting sits
+// beneath the internal buffer, so a failed flush cannot over-report
+// buffered-but-unwritten bytes.
 func (x *Index) WriteTo(w io.Writer) (int64, error) {
+	sections := [3]func(io.Writer){x.writeMeta, x.writeKeys, x.writeVals}
+	var sums [3]uint32
+	for i, write := range sections {
+		h := crc32.New(castagnoli)
+		write(h)
+		sums[i] = h.Sum32()
+	}
 	cw := &countWriter{w: w}
 	bw := bufio.NewWriterSize(cw, 1<<20)
-	n := len(x.d)
-	hdr := make([]byte, 4+4+4+4+4+6*8+8+8+8)
-	copy(hdr, indexMagic)
+	_, _ = bw.Write(x.header(sums))
+	for _, write := range sections {
+		write(bw)
+	}
+	// bufio keeps the first write error and reports it here.
+	if err := bw.Flush(); err != nil {
+		return cw.n, err
+	}
+	return cw.n, nil
+}
+
+// header encodes the header fields followed by their own CRC-32C and
+// the three section sums.
+func (x *Index) header(sums [3]uint32) []byte {
 	le := binary.LittleEndian
+	hdr := make([]byte, headerSize)
+	copy(hdr, indexMagic)
 	le.PutUint32(hdr[4:], indexVersion)
-	le.PutUint32(hdr[8:], uint32(n))
+	le.PutUint32(hdr[8:], uint32(len(x.d)))
 	le.PutUint32(hdr[12:], x.flags())
 	le.PutUint32(hdr[16:], 0)
 	le.PutUint64(hdr[20:], math.Float64bits(x.prm.c))
@@ -96,65 +150,59 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	le.PutUint64(hdr[68:], x.prm.seed)
 	le.PutUint64(hdr[76:], uint64(len(x.keys)))
 	le.PutUint64(hdr[84:], uint64(len(x.marks)))
-	if _, err := bw.Write(hdr); err != nil {
-		return cw.n, err
+	le.PutUint32(hdr[92:], crc32.Checksum(hdr[:headerFields], castagnoli))
+	for i, sum := range sums {
+		le.PutUint32(hdr[96+4*i:], sum)
 	}
-	buf := make([]byte, 16)
-	for _, v := range x.d {
-		le.PutUint64(buf, math.Float64bits(v))
-		if _, err := bw.Write(buf[:8]); err != nil {
-			return cw.n, err
-		}
-	}
-	bitmap := make([]byte, (n+7)/8)
+	return hdr
+}
+
+// The section writers ignore per-write errors: they write to a hash,
+// which never fails, or to a bufio.Writer, which keeps the first error,
+// drops every later write, and returns it from Flush.
+
+// writeMeta encodes the O(n) metadata and the alignment padding.
+func (x *Index) writeMeta(w io.Writer) {
+	le := binary.LittleEndian
+	putWords(w, x.d, func(b []byte, v float64) []byte { return le.AppendUint64(b, math.Float64bits(v)) })
+	bitmap := make([]byte, (len(x.d)+7)/8)
 	for v, r := range x.reduced {
 		if r {
 			bitmap[v/8] |= 1 << (v % 8)
 		}
 	}
-	if _, err := bw.Write(bitmap); err != nil {
-		return cw.n, err
-	}
-	for _, o := range x.off {
-		le.PutUint64(buf, uint64(o))
-		if _, err := bw.Write(buf[:8]); err != nil {
-			return cw.n, err
+	_, _ = w.Write(bitmap)
+	putWords(w, x.off, func(b []byte, o int64) []byte { return le.AppendUint64(b, uint64(o)) })
+	putWords(w, x.markOff, func(b []byte, o int64) []byte { return le.AppendUint64(b, uint64(o)) })
+	putWords(w, x.marks, func(b []byte, m int32) []byte { return le.AppendUint32(b, uint32(m)) })
+	var zeros [4]byte
+	_, _ = w.Write(zeros[:alignPad(metaSize(len(x.d), int64(len(x.marks))))])
+}
+
+// writeKeys encodes the key column.
+func (x *Index) writeKeys(w io.Writer) {
+	putWords(w, x.keys, func(b []byte, k uint32) []byte { return binary.LittleEndian.AppendUint32(b, k) })
+}
+
+// writeVals encodes the value column.
+func (x *Index) writeVals(w io.Writer) {
+	putWords(w, x.vals, func(b []byte, v float32) []byte {
+		return binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+	})
+}
+
+// putWords encodes xs with put into a chunk buffer and hands each full
+// chunk to w: one append per word rather than one Write call.
+func putWords[T any](w io.Writer, xs []T, put func([]byte, T) []byte) {
+	buf := make([]byte, 0, 64<<10)
+	for _, v := range xs {
+		buf = put(buf, v)
+		if len(buf) > cap(buf)-8 {
+			_, _ = w.Write(buf)
+			buf = buf[:0]
 		}
 	}
-	for _, o := range x.markOff {
-		le.PutUint64(buf, uint64(o))
-		if _, err := bw.Write(buf[:8]); err != nil {
-			return cw.n, err
-		}
-	}
-	for _, m := range x.marks {
-		le.PutUint32(buf, uint32(m))
-		if _, err := bw.Write(buf[:4]); err != nil {
-			return cw.n, err
-		}
-	}
-	var zeros [8]byte
-	if pad := alignPad(metaSize(n, int64(len(x.marks)))); pad > 0 {
-		if _, err := bw.Write(zeros[:pad]); err != nil {
-			return cw.n, err
-		}
-	}
-	for _, k := range x.keys {
-		le.PutUint64(buf, k)
-		if _, err := bw.Write(buf[:8]); err != nil {
-			return cw.n, err
-		}
-	}
-	for _, v := range x.vals {
-		le.PutUint64(buf, math.Float64bits(v))
-		if _, err := bw.Write(buf[:8]); err != nil {
-			return cw.n, err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
+	_, _ = w.Write(buf)
 }
 
 type countWriter struct {
@@ -179,24 +227,50 @@ func (x *Index) SaveFile(path string) error {
 	})
 }
 
-// readMeta parses everything before the entries regions into a skeleton
-// Index (keys/vals empty), consuming the alignment padding, and returns
-// the byte offset of the keys region and the entry count.
-func readMeta(r io.Reader, g *graph.Graph) (*Index, int64, int64, error) {
+// fileHeader is what readMeta learns besides the metadata: where the
+// keys region starts, the entry count, and the two column checksums.
+type fileHeader struct {
+	entriesOff int64
+	numEntries int64
+	crcKeys    uint32
+	crcVals    uint32
+}
+
+// crcReader hashes everything read through it.
+type crcReader struct {
+	r   io.Reader
+	crc uint32
+}
+
+func (c *crcReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
+	return n, err
+}
+
+// readMeta parses and verifies everything before the entries regions
+// into a skeleton Index (keys/vals empty), consuming the alignment
+// padding: the magic and version, the header checksum, the parameters,
+// then the metadata against its checksum, then its structure.
+func readMeta(r io.Reader, g *graph.Graph) (*Index, fileHeader, error) {
+	var fh fileHeader
 	le := binary.LittleEndian
-	hdr := make([]byte, 92)
+	hdr := make([]byte, headerSize)
 	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, 0, 0, fmt.Errorf("core: reading index header: %w", err)
+		return nil, fh, corrupt("reading index header: %w", err)
 	}
 	if string(hdr[:4]) != indexMagic {
-		return nil, 0, 0, errors.New("core: bad magic; not a SLIX file")
+		return nil, fh, errors.New("core: bad magic; not a SLIX file")
 	}
 	if v := le.Uint32(hdr[4:]); v != indexVersion {
-		return nil, 0, 0, fmt.Errorf("core: unsupported index version %d", v)
+		return nil, fh, fmt.Errorf("core: unsupported SLIX version %d; this build reads version %d only, so rebuild the index", v, indexVersion)
+	}
+	if crc32.Checksum(hdr[:headerFields], castagnoli) != le.Uint32(hdr[92:]) {
+		return nil, fh, corrupt("header checksum mismatch")
 	}
 	n := int(le.Uint32(hdr[8:]))
 	if g != nil && g.NumNodes() != n {
-		return nil, 0, 0, fmt.Errorf("core: index built for n=%d nodes, graph has %d", n, g.NumNodes())
+		return nil, fh, fmt.Errorf("core: index built for n=%d nodes, graph has %d", n, g.NumNodes())
 	}
 	flags := le.Uint32(hdr[12:])
 	var prm resolved
@@ -212,69 +286,90 @@ func readMeta(r io.Reader, g *graph.Graph) (*Index, int64, int64, error) {
 	prm.enhance = flags&flagEnhance != 0
 	prm.spaceReduction = flags&flagSpaceReduction != 0
 	prm.basicEstimator = flags&flagBasicEstimator != 0
-	if prm.c <= 0 || prm.c >= 1 || prm.theta <= 0 {
-		return nil, 0, 0, errors.New("core: corrupt index parameters")
+	if !(prm.c > 0 && prm.c < 1) || !(prm.theta > 0 && prm.theta < 1) {
+		return nil, fh, corrupt("parameters c=%v theta=%v out of (0,1)", prm.c, prm.theta)
+	}
+	if err := prm.keyLayout(n); err != nil {
+		return nil, fh, corrupt("%w", err)
 	}
 	numEntries := int64(le.Uint64(hdr[76:]))
 	numMarks := int64(le.Uint64(hdr[84:]))
 	if numEntries < 0 || numMarks < 0 {
-		return nil, 0, 0, errors.New("core: negative sizes in index header")
+		return nil, fh, corrupt("negative sizes in index header")
 	}
+	fh.numEntries = numEntries
+	fh.crcKeys = le.Uint32(hdr[100:])
+	fh.crcVals = le.Uint32(hdr[104:])
 	x := &Index{g: g, prm: prm}
+
 	// All counted allocations go through readChunkedU64/U32, which grow
-	// with the bytes actually read, so a corrupt header claiming a huge
-	// size fails at EOF instead of exhausting memory.
-	dBits, err := readChunkedU64(r, int64(n), "d")
+	// with the bytes actually read, so a header claiming a huge size
+	// fails at EOF instead of exhausting memory.
+	cr := &crcReader{r: r}
+	dBits, err := readChunkedU64(cr, int64(n), "d")
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, fh, err
 	}
+	bitmap := make([]byte, (n+7)/8)
+	if _, err := io.ReadFull(cr, bitmap); err != nil {
+		return nil, fh, corrupt("reading bitmap: %w", err)
+	}
+	offBits, err := readChunkedU64(cr, int64(n)+1, "offsets")
+	if err != nil {
+		return nil, fh, err
+	}
+	markBits, err := readChunkedU64(cr, int64(n)+1, "mark offsets")
+	if err != nil {
+		return nil, fh, err
+	}
+	marks32, err := readChunkedU32(cr, numMarks, "marks")
+	if err != nil {
+		return nil, fh, err
+	}
+	meta := metaSize(n, numMarks)
+	var pad [4]byte
+	if _, err := io.ReadFull(cr, pad[:alignPad(meta)]); err != nil {
+		return nil, fh, corrupt("reading alignment padding: %w", err)
+	}
+	if cr.crc != le.Uint32(hdr[96:]) {
+		return nil, fh, corrupt("metadata checksum mismatch")
+	}
+	if pad != [4]byte{} {
+		return nil, fh, corrupt("non-zero alignment padding")
+	}
+	fh.entriesOff = meta + alignPad(meta)
+
 	x.d = make([]float64, n)
 	for i, b := range dBits {
 		x.d[i] = math.Float64frombits(b)
 	}
-	bitmap := make([]byte, (n+7)/8)
-	if _, err := io.ReadFull(r, bitmap); err != nil {
-		return nil, 0, 0, fmt.Errorf("core: reading bitmap: %w", err)
-	}
 	x.reduced = make([]bool, n)
 	for v := range x.reduced {
 		x.reduced[v] = bitmap[v/8]&(1<<(v%8)) != 0
-	}
-	offBits, err := readChunkedU64(r, int64(n)+1, "offsets")
-	if err != nil {
-		return nil, 0, 0, err
 	}
 	x.off = make([]int64, n+1)
 	for i, b := range offBits {
 		x.off[i] = int64(b)
 	}
 	if x.off[0] != 0 || x.off[n] != numEntries {
-		return nil, 0, 0, errors.New("core: corrupt offset table")
+		return nil, fh, corrupt("offset table does not span the %d entries", numEntries)
 	}
 	for v := 0; v < n; v++ {
 		if x.off[v] > x.off[v+1] {
-			return nil, 0, 0, errors.New("core: non-monotone offset table")
+			return nil, fh, corrupt("non-monotone offset table")
 		}
-	}
-	markBits, err := readChunkedU64(r, int64(n)+1, "mark offsets")
-	if err != nil {
-		return nil, 0, 0, err
 	}
 	x.markOff = make([]int64, n+1)
 	for i, b := range markBits {
 		x.markOff[i] = int64(b)
 	}
 	if x.markOff[0] != 0 || x.markOff[n] != numMarks {
-		return nil, 0, 0, errors.New("core: corrupt mark offset table")
+		return nil, fh, corrupt("mark offset table does not span the %d marks", numMarks)
 	}
 	for v := 0; v < n; v++ {
 		if x.markOff[v] > x.markOff[v+1] {
-			return nil, 0, 0, errors.New("core: non-monotone mark offset table")
+			return nil, fh, corrupt("non-monotone mark offset table")
 		}
-	}
-	marks32, err := readChunkedU32(r, numMarks, "marks")
-	if err != nil {
-		return nil, 0, 0, err
 	}
 	x.marks = make([]int32, numMarks)
 	for i, b := range marks32 {
@@ -288,43 +383,125 @@ func readMeta(r io.Reader, g *graph.Graph) (*Index, int64, int64, error) {
 		cnt := x.off[v+1] - x.off[v]
 		for _, rel := range x.marks[x.markOff[v]:x.markOff[v+1]] {
 			if int64(rel) < 0 || int64(rel) >= cnt {
-				//slingvet:ignore noderangeerr corrupt index file, not a caller-supplied node id; ErrNodeRange is reserved for query arguments
-				return nil, 0, 0, fmt.Errorf("core: mark %d of node %d out of range [0,%d)", rel, v, cnt)
+				return nil, fh, corrupt("mark %d of node %d outside its %d entries", rel, v, cnt)
 			}
 		}
 	}
-	meta := metaSize(n, numMarks)
-	var padBuf [8]byte
-	pad := alignPad(meta)
-	if pad > 0 {
-		if _, err := io.ReadFull(r, padBuf[:pad]); err != nil {
-			return nil, 0, 0, fmt.Errorf("core: reading alignment padding: %w", err)
+	return x, fh, nil
+}
+
+// readEntries reads the key and value columns that follow the metadata
+// in one sequential pass, verifying both checksums and every entry: its
+// node is below n, its step at most maxStoredStep, its key above the
+// previous key of the same node, and its value in (0, 1] (so finite).
+// With keep it fills x.keys and x.vals; the disk loaders only check.
+func readEntries(r io.Reader, x *Index, fh fileHeader, keep bool) error {
+	le := binary.LittleEndian
+	n := uint32(len(x.d))
+	nb, maxStep := x.prm.nodeBits, uint32(x.prm.maxStep)
+	mask := uint32(1)<<nb - 1
+	v, prev := 0, uint32(0)
+	err := readColumn(r, fh.numEntries, fh.crcKeys, "keys", func(i int64, raw []byte) error {
+		// Walk the chunk one node's run at a time. A run that opens the
+		// node has no previous key to be above, and since a node's keys
+		// ascend, the run's last key holds its deepest step.
+		for len(raw) > 0 {
+			for x.off[v+1] <= i {
+				v++
+			}
+			run := raw[:4*min64(x.off[v+1]-i, int64(len(raw)/4))]
+			p, opens := prev, i == x.off[v]
+			for j := 0; j < len(run); j += 4 {
+				key := le.Uint32(run[j:])
+				if key&mask >= n {
+					return corrupt("entry %d of node %d names node %d of %d", i+int64(j/4), v, key&mask, n)
+				}
+				if key <= p && (j > 0 || !opens) {
+					return corrupt("entry %d of node %d is not above the one before it", i+int64(j/4), v)
+				}
+				p = key
+				if keep {
+					x.keys = append(x.keys, key)
+				}
+			}
+			if p>>nb > maxStep {
+				return corrupt("node %d stores step %d, deeper than %d", v, p>>nb, maxStep)
+			}
+			prev = p
+			raw = raw[len(run):]
+			i += int64(len(run) / 4)
 		}
-		for _, b := range padBuf[:pad] {
-			if b != 0 {
-				return nil, 0, 0, errors.New("core: non-zero alignment padding")
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	err = readColumn(r, fh.numEntries, fh.crcVals, "values", func(i int64, raw []byte) error {
+		for j := 0; j < len(raw); j += 4 {
+			// Non-negative floats order like their bits, so a value is in
+			// (0, 1] exactly when its bits are in [1, bits(1.0)].
+			b := le.Uint32(raw[j:])
+			if b-1 >= math.Float32bits(1) {
+				return corrupt("entry %d has value %v outside (0, 1]", i+int64(j/4), math.Float32frombits(b))
+			}
+			if keep {
+				x.vals = append(x.vals, math.Float32frombits(b))
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	return x, meta + pad, numEntries, nil
+	if keep {
+		// Growing by append left up to a quarter of spare capacity; the
+		// resident index keeps exact-size columns.
+		x.keys, x.vals = slices.Clone(x.keys), slices.Clone(x.vals)
+	}
+	return nil
+}
+
+// readColumn reads count little-endian 32-bit words from r in bounded
+// chunks, hands each chunk's bytes and the index of its first word to
+// fn, and then checks the column's CRC-32C against sum.
+func readColumn(r io.Reader, count int64, sum uint32, what string, fn func(int64, []byte) error) error {
+	const chunk = 1 << 14
+	buf := make([]byte, 4*min64(count, chunk))
+	crc := uint32(0)
+	for i := int64(0); i < count; {
+		want := min64(count-i, chunk)
+		raw := buf[:4*want]
+		if _, err := io.ReadFull(r, raw); err != nil {
+			return corrupt("reading entry %s: %w", what, err)
+		}
+		crc = crc32.Update(crc, castagnoli, raw)
+		if err := fn(i, raw); err != nil {
+			return err
+		}
+		i += want
+	}
+	if crc != sum {
+		return corrupt("entry %s checksum mismatch", what)
+	}
+	return nil
 }
 
 // readChunkedU64 reads count little-endian uint64s, growing the result
 // incrementally so bogus counts fail at EOF with bounded allocation.
 func readChunkedU64(r io.Reader, count int64, what string) ([]uint64, error) {
 	if count < 0 {
-		return nil, fmt.Errorf("core: negative %s count", what)
+		return nil, corrupt("negative %s count", what)
 	}
 	const chunk = 1 << 16
 	out := make([]uint64, 0, min64(count, chunk))
-	buf := make([]byte, 8*chunk)
+	buf := make([]byte, 8*min64(count, chunk))
 	for int64(len(out)) < count {
 		want := count - int64(len(out))
 		if want > chunk {
 			want = chunk
 		}
 		if _, err := io.ReadFull(r, buf[:8*want]); err != nil {
-			return nil, fmt.Errorf("core: reading %s: %w", what, err)
+			return nil, corrupt("reading %s: %w", what, err)
 		}
 		for i := int64(0); i < want; i++ {
 			out = append(out, binary.LittleEndian.Uint64(buf[8*i:]))
@@ -336,18 +513,18 @@ func readChunkedU64(r io.Reader, count int64, what string) ([]uint64, error) {
 // readChunkedU32 is readChunkedU64 for uint32s.
 func readChunkedU32(r io.Reader, count int64, what string) ([]uint32, error) {
 	if count < 0 {
-		return nil, fmt.Errorf("core: negative %s count", what)
+		return nil, corrupt("negative %s count", what)
 	}
 	const chunk = 1 << 16
 	out := make([]uint32, 0, min64(count, chunk))
-	buf := make([]byte, 4*chunk)
+	buf := make([]byte, 4*min64(count, chunk))
 	for int64(len(out)) < count {
 		want := count - int64(len(out))
 		if want > chunk {
 			want = chunk
 		}
 		if _, err := io.ReadFull(r, buf[:4*want]); err != nil {
-			return nil, fmt.Errorf("core: reading %s: %w", what, err)
+			return nil, corrupt("reading %s: %w", what, err)
 		}
 		for i := int64(0); i < want; i++ {
 			out = append(out, binary.LittleEndian.Uint32(buf[4*i:]))
@@ -365,25 +542,19 @@ func min64(a, b int64) int64 {
 
 // ReadIndex deserializes an index written by WriteTo, binding it to g
 // (which must be the graph it was built over; only the node count is
-// verifiable).
+// verifiable). It verifies every checksum and entry on the way, and any
+// damage it finds is an error wrapping ErrCorrupt.
 func ReadIndex(r io.Reader, g *graph.Graph) (*Index, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	x, _, numEntries, err := readMeta(br, g)
+	br := bufio.NewReaderSize(r, readBuffer)
+	x, fh, err := readMeta(br, g)
 	if err != nil {
 		return nil, err
 	}
-	keys, err := readChunkedU64(br, numEntries, "entry keys")
-	if err != nil {
+	if err := readEntries(br, x, fh, true); err != nil {
 		return nil, err
 	}
-	valBits, err := readChunkedU64(br, numEntries, "entry values")
-	if err != nil {
-		return nil, err
-	}
-	x.keys = keys
-	x.vals = make([]float64, numEntries)
-	for i, b := range valBits {
-		x.vals[i] = math.Float64frombits(b)
+	if _, err := br.ReadByte(); err != io.EOF {
+		return nil, corrupt("trailing bytes after the value column")
 	}
 	return x, nil
 }
@@ -411,57 +582,69 @@ func MmapSupported() bool { return mmap.Supported() }
 // offsets) is memory-resident, and each query fetches the relevant H(v)
 // ranges with positioned reads — a constant I/O cost per query. Opened
 // with OpenDiskIndexMmap, the entries regions are instead memory-mapped
-// and served as zero-copy typed views, making the OS page cache the only
-// cache. Queries run through NewScratchPool, the same engine the
-// in-memory index serves with.
+// and served as typed views, making the OS page cache the only cache.
+// Queries run through NewScratchPool, the same engine the in-memory
+// index serves with.
 type DiskIndex struct {
 	meta       *Index
 	f          *os.File
-	entriesOff int64 // keys region offset (8-byte aligned)
+	entriesOff int64 // keys region offset (4-byte aligned)
 	valsOff    int64 // vals region offset
 	numEntries int64
 
 	// mmap serving mode: when mapped is true, mkeys/mvals are typed
-	// views over mm and a fetch is pure slicing — zero copies, zero
-	// allocations.
+	// views over mm and a fetch widens a slice of them — no read
+	// syscall, no allocation.
 	mapped bool
 	mm     *mmap.Mapping
-	mkeys  []uint64
-	mvals  []float64
+	mkeys  []uint32
+	mvals  []float32
 }
 
-// openDiskFile opens and validates path, returning the populated
-// (ReadAt-mode) DiskIndex.
+// openDiskFile opens path and returns the checked (ReadAt-mode)
+// DiskIndex over it.
 func openDiskFile(path string, g *graph.Graph) (*DiskIndex, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	meta, entriesOff, numEntries, err := readMeta(bufio.NewReaderSize(f, 1<<20), g)
+	d, err := checkDiskFile(f, g)
 	if err != nil {
 		f.Close()
+		return nil, err
+	}
+	return d, nil
+}
+
+// checkDiskFile verifies f in one sequential pass, readMeta and then
+// readEntries without keeping the columns, so only the O(n) metadata
+// stays resident.
+func checkDiskFile(f *os.File, g *graph.Graph) (*DiskIndex, error) {
+	br := bufio.NewReaderSize(f, readBuffer)
+	meta, fh, err := readMeta(br, g)
+	if err != nil {
 		return nil, err
 	}
 	// The offset table was validated monotone with off[n] == numEntries;
 	// cross-check the claimed entries regions against the actual file
-	// size so positioned reads (or the mapped views) cannot be steered
-	// past the end.
+	// size before reading them, so positioned reads (or the mapped views)
+	// cannot be steered past the end.
 	st, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	if entriesOff+numEntries*16 != st.Size() {
-		f.Close()
-		return nil, fmt.Errorf("core: index file size %d does not match header (want %d)",
-			st.Size(), entriesOff+numEntries*16)
+	if want := fh.entriesOff + 8*fh.numEntries; st.Size() != want {
+		return nil, corrupt("index file size %d does not match header (want %d)", st.Size(), want)
+	}
+	if err := readEntries(br, meta, fh, false); err != nil {
+		return nil, err
 	}
 	return &DiskIndex{
 		meta:       meta,
 		f:          f,
-		entriesOff: entriesOff,
-		valsOff:    entriesOff + 8*numEntries,
-		numEntries: numEntries,
+		entriesOff: fh.entriesOff,
+		valsOff:    fh.entriesOff + 4*fh.numEntries,
+		numEntries: fh.numEntries,
 	}, nil
 }
 
@@ -472,27 +655,26 @@ func OpenDiskIndex(path string, g *graph.Graph) (*DiskIndex, error) {
 }
 
 // OpenDiskIndexMmap opens path like OpenDiskIndex but maps the file
-// and serves the entries regions as zero-copy typed views: a fetch is
-// pointer arithmetic and the OS page cache is the only cache. It
-// validates everything OpenDiskIndex validates (same metadata parse,
-// same file-size cross-check) before mapping, so every input the ReadAt
-// loader rejects is rejected here too. On platforms or byte orders
-// where the reinterpretation is invalid it fails with
+// and serves the entries regions as typed views: a fetch widens a slice
+// of the mapping and the OS page cache is the only cache. It runs the
+// same open pass as OpenDiskIndex before mapping, so every input the
+// ReadAt loader rejects is rejected here too. On platforms or byte
+// orders where the reinterpretation is invalid it fails with
 // ErrMmapUnsupported and the caller falls back to OpenDiskIndex.
 func OpenDiskIndexMmap(path string, g *graph.Graph) (*DiskIndex, error) {
 	d, err := openDiskFile(path, g)
 	if err != nil {
 		return nil, err
 	}
-	mm, err := mmap.Open(d.f, d.entriesOff+16*d.numEntries)
+	mm, err := mmap.Open(d.f, d.valsOff+4*d.numEntries)
 	if err != nil {
 		d.f.Close()
 		return nil, err
 	}
 	data := mm.Bytes()
-	mkeys, err := mmap.U64(data[d.entriesOff:d.valsOff])
+	mkeys, err := mmap.U32(data[d.entriesOff:d.valsOff])
 	if err == nil {
-		d.mvals, err = mmap.F64(data[d.valsOff : d.valsOff+8*d.numEntries])
+		d.mvals, err = mmap.F32(data[d.valsOff : d.valsOff+4*d.numEntries])
 	}
 	if err != nil {
 		mm.Close()
@@ -505,8 +687,8 @@ func OpenDiskIndexMmap(path string, g *graph.Graph) (*DiskIndex, error) {
 	return d, nil
 }
 
-// Mapped reports whether the index serves from a zero-copy memory
-// mapping rather than positioned reads.
+// Mapped reports whether the index serves from a memory mapping rather
+// than positioned reads.
 func (d *DiskIndex) Mapped() bool { return d.mapped }
 
 // Close releases the mapping (if any) and the underlying file.
@@ -535,35 +717,38 @@ type DiskScratch = Scratch
 // NewScratch sizes a Scratch for the disk index's graph.
 func (d *DiskIndex) NewScratch() *Scratch { return d.meta.NewScratch() }
 
-// entries implements entrySource. In mapped mode it slices the typed
-// views directly — zero copies, zero allocations. Otherwise it reads the
-// keys and vals ranges with two positioned reads and decodes them into
-// the scratch's fetch buffers for slot; a read error is the only error
-// any query can return.
+// entries implements entrySource. In mapped mode it widens a slice of
+// the typed views, with no read and no allocation. Otherwise it reads
+// the keys and vals ranges with two positioned reads of 4·cnt bytes and
+// decodes them into the same widened form; a read error is the only
+// error any query can return.
 func (d *DiskIndex) entries(v graph.NodeID, s *Scratch, slot int) ([]uint64, []float64, error) {
 	lo, hi := d.meta.off[v], d.meta.off[v+1]
 	if d.mapped {
-		return d.mkeys[lo:hi], d.mvals[lo:hi], nil
+		k, val := d.meta.widen(d.mkeys[lo:hi], d.mvals[lo:hi], s, slot)
+		return k, val, nil
 	}
 	cnt := int(hi - lo)
-	need := cnt * 16
+	need := cnt * 8
 	if cap(s.raw) < need {
 		s.raw = make([]byte, need)
 	}
 	raw := s.raw[:need]
-	if _, err := d.f.ReadAt(raw[:8*cnt], d.entriesOff+lo*8); err != nil {
+	if _, err := d.f.ReadAt(raw[:4*cnt], d.entriesOff+lo*4); err != nil {
 		return nil, nil, fmt.Errorf("core: disk index key read for node %d: %w", v, err)
 	}
-	if _, err := d.f.ReadAt(raw[8*cnt:], d.valsOff+lo*8); err != nil {
+	if _, err := d.f.ReadAt(raw[4*cnt:], d.valsOff+lo*4); err != nil {
 		return nil, nil, fmt.Errorf("core: disk index value read for node %d: %w", v, err)
 	}
-	k, val := s.fk[slot][:0], s.fv[slot][:0]
+	nb := d.meta.prm.nodeBits
 	le := binary.LittleEndian
-	for i := 0; i < cnt; i++ {
-		k = append(k, le.Uint64(raw[8*i:]))
+	k := slices.Grow(s.fk[slot][:0], cnt)[:cnt]
+	for i := range k {
+		k[i] = unpackKey(le.Uint32(raw[4*i:]), nb)
 	}
-	for i := 0; i < cnt; i++ {
-		val = append(val, math.Float64frombits(le.Uint64(raw[8*cnt+8*i:])))
+	val := slices.Grow(s.fv[slot][:0], cnt)[:cnt]
+	for i := range val {
+		val[i] = float64(math.Float32frombits(le.Uint32(raw[4*(cnt+i):])))
 	}
 	s.fk[slot], s.fv[slot] = k, val
 	return k, val, nil

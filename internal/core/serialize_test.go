@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"sling/internal/atomicio"
@@ -151,9 +155,39 @@ func TestSaveFailureKeepsOldIndexLoadable(t *testing.T) {
 	}
 }
 
-// corruptSLIX enumerates corruptions that the ReadAt loader rejects;
-// the mmap loader must reject every one of them too (never map, never
-// fault).
+// resealSLIX returns a copy of a SLIX v3 stream with its four section
+// checksums recomputed from the layout its header counts imply, so a
+// test can damage a field behind the checksums and reach the check that
+// guards it. Sections the data is too short for keep their old sums.
+func resealSLIX(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	if len(out) < headerSize {
+		return out
+	}
+	le := binary.LittleEndian
+	sum := func(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
+	le.PutUint32(out[92:], sum(out[:headerFields]))
+	n := int64(le.Uint32(out[8:]))
+	numEntries, numMarks := le.Uint64(out[76:]), le.Uint64(out[84:])
+	if numEntries > 1<<40 || numMarks > 1<<40 {
+		return out
+	}
+	meta := metaSize(int(n), int64(numMarks))
+	keysOff := meta + alignPad(meta)
+	valsOff := keysOff + 4*int64(numEntries)
+	end := valsOff + 4*int64(numEntries)
+	if end > int64(len(out)) {
+		return out
+	}
+	le.PutUint32(out[96:], sum(out[headerSize:keysOff]))
+	le.PutUint32(out[100:], sum(out[keysOff:valsOff]))
+	le.PutUint32(out[104:], sum(out[valsOff:end]))
+	return out
+}
+
+// corruptSLIX enumerates corruptions that every loader rejects. The
+// damage behind the checksums is resealed, so those cases reach the
+// structural or entry check that guards the field.
 func corruptSLIX(t *testing.T, valid []byte) map[string][]byte {
 	t.Helper()
 	le := binary.LittleEndian
@@ -174,7 +208,14 @@ func corruptSLIX(t *testing.T, valid []byte) map[string][]byte {
 	// cross-check catch.
 	inflated := append([]byte(nil), valid...)
 	le.PutUint64(inflated[76:], le.Uint64(inflated[76:])+1)
-	cases["inflated numEntries"] = inflated
+	cases["inflated numEntries"] = resealSLIX(inflated)
+	// Parameters whose key split addresses fewer nodes than the header
+	// claims: at c = 1−1e-7 and θ = 1e-6 a stored step needs 29 bits,
+	// which leaves 3 bits for the 20 nodes.
+	narrow := append([]byte(nil), valid...)
+	le.PutUint64(narrow[20:], math.Float64bits(1-1e-7))
+	le.PutUint64(narrow[44:], math.Float64bits(1e-6))
+	cases["more nodes than the key addresses"] = resealSLIX(narrow)
 	// Misaligned section: a non-zero byte in the alignment padding means
 	// writer and reader disagree about where keys start.
 	n := int(le.Uint32(valid[8:]))
@@ -183,17 +224,43 @@ func corruptSLIX(t *testing.T, valid []byte) map[string][]byte {
 	if pad := alignPad(meta); pad > 0 {
 		bad := append([]byte(nil), valid...)
 		bad[meta] = 0x01
-		cases["non-zero alignment padding"] = bad
+		cases["non-zero alignment padding"] = resealSLIX(bad)
 	} else {
 		t.Fatalf("test graph produced pad 0; pick sizes with a non-empty alignment gap")
 	}
+	// Entries no build writes. Each would panic or mislead a query
+	// (TopK indexes d̃ and the score vectors by the stored node), so the
+	// open pass must refuse them.
+	keysOff := meta + alignPad(meta)
+	valsOff := keysOff + 4*int64(le.Uint64(valid[76:]))
+	var prm resolved
+	prm.c = math.Float64frombits(le.Uint64(valid[20:]))
+	prm.sqrtC = math.Sqrt(prm.c)
+	prm.theta = math.Float64frombits(le.Uint64(valid[44:]))
+	if err := prm.keyLayout(n); err != nil {
+		t.Fatal(err)
+	}
+	entry := func(name string, off int64, word uint32) {
+		bad := append([]byte(nil), valid...)
+		le.PutUint32(bad[off:], word)
+		cases[name] = resealSLIX(bad)
+	}
+	first := le.Uint32(valid[keysOff:])
+	mask := uint32(1)<<prm.nodeBits - 1
+	entry("entry names a node past n", keysOff, first&^mask|1000)
+	entry("entry step past maxStoredStep", keysOff, uint32(prm.maxStep+1)<<prm.nodeBits|first&mask)
+	entry("entry keys out of order", keysOff, le.Uint32(valid[keysOff+4:]))
+	entry("entry value zero", valsOff, 0)
+	entry("entry value above one", valsOff, math.Float32bits(1.5))
+	entry("entry value NaN", valsOff, math.Float32bits(float32(math.NaN())))
 	return cases
 }
 
-// TestMmapLoaderRejectsCorruptFiles: every corrupt input the ReadAt
-// loader rejects is also rejected by the mmap loader — with an error,
-// not a panic or a fault from mapping a region past EOF.
-func TestMmapLoaderRejectsCorruptFiles(t *testing.T) {
+// TestLoadersRejectCorruptFiles: every loader — ReadIndex, the ReadAt
+// disk loader and the mmap loader — rejects every corrupt input with an
+// error, not a panic or a fault from mapping a region past EOF, and
+// every rejection but a foreign magic or version wraps ErrCorrupt.
+func TestLoadersRejectCorruptFiles(t *testing.T) {
 	valid := buildSerialized(t)
 	dir := t.TempDir()
 	for name, data := range corruptSLIX(t, valid) {
@@ -201,13 +268,114 @@ func TestMmapLoaderRejectsCorruptFiles(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenDiskIndex(path, nil); err == nil {
-			t.Errorf("%s: ReadAt loader accepted corrupt file", name)
+		wantCorrupt := name != "bad magic" && name != "bad version"
+		check := func(loader string, err error) {
+			t.Helper()
+			if err == nil {
+				t.Errorf("%s: %s accepted corrupt file", name, loader)
+			} else if wantCorrupt && !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: %s error %q does not wrap ErrCorrupt", name, loader, err)
+			}
 		}
-		d, err := OpenDiskIndexMmap(path, nil)
+		_, err := ReadIndex(bytes.NewReader(data), nil)
+		check("ReadIndex", err)
+		d, err := OpenDiskIndex(path, nil)
 		if err == nil {
 			d.Close()
-			t.Errorf("%s: mmap loader accepted corrupt file", name)
+		}
+		check("OpenDiskIndex", err)
+		if MmapSupported() {
+			d, err = OpenDiskIndexMmap(path, nil)
+			if err == nil {
+				d.Close()
+			}
+			check("OpenDiskIndexMmap", err)
+		}
+	}
+}
+
+// TestLoadersRejectEveryBitFlip flips the low bit of every byte of a
+// 4 KB index file (built with Enhance, so every section is non-empty)
+// in turn: each flip must be rejected by all three loaders, and every
+// rejection except of the magic and version wraps ErrCorrupt. The
+// section checksums are what catch a flipped value byte, which no
+// structural check can see.
+func TestLoadersRejectEveryBitFlip(t *testing.T) {
+	x, err := Build(randomGraph(10, 30, 1), &Options{Eps: 0.3, Seed: 1, Enhance: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := x.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.Bytes()
+	if n := binary.LittleEndian.Uint64(valid[84:]); n == 0 {
+		t.Fatal("test index has no marks")
+	}
+	path := filepath.Join(t.TempDir(), "flip.slix")
+	if err := os.WriteFile(path, valid, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	data := append([]byte(nil), valid...)
+	for pos := range valid {
+		// Flip the byte in the buffer and in the file, and restore both
+		// after the three opens.
+		data[pos] ^= 0x01
+		if _, err := f.WriteAt(data[pos:pos+1], int64(pos)); err != nil {
+			t.Fatal(err)
+		}
+		check := func(loader string, err error) {
+			t.Helper()
+			if err == nil {
+				t.Fatalf("byte %d flipped: %s accepted the file", pos, loader)
+			}
+			if pos >= 8 && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("byte %d flipped: %s error %q does not wrap ErrCorrupt", pos, loader, err)
+			}
+		}
+		_, err := ReadIndex(bytes.NewReader(data), nil)
+		check("ReadIndex", err)
+		d, err := OpenDiskIndex(path, nil)
+		if err == nil {
+			d.Close()
+		}
+		check("OpenDiskIndex", err)
+		if MmapSupported() {
+			d, err = OpenDiskIndexMmap(path, nil)
+			if err == nil {
+				d.Close()
+			}
+			check("OpenDiskIndexMmap", err)
+		}
+		data[pos] ^= 0x01
+		if _, err := f.WriteAt(data[pos:pos+1], int64(pos)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A v2 file fails every loader with an error naming its version: there
+// is no v2 reader, the index is rebuilt. (A durable snapshot's embedded
+// index goes through ReadIndex, so it fails the same way.)
+func TestLoadersNameOldVersion(t *testing.T) {
+	data := buildSerialized(t)
+	binary.LittleEndian.PutUint32(data[4:], 2)
+	path := filepath.Join(t.TempDir(), "v2.slix")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, errR := ReadIndex(bytes.NewReader(data), nil)
+	_, errD := OpenDiskIndex(path, nil)
+	_, errM := OpenDiskIndexMmap(path, nil)
+	for _, err := range []error{errR, errD, errM} {
+		if err == nil || !strings.Contains(err.Error(), "version 2") {
+			t.Fatalf("v2 file: err = %v, want one naming version 2", err)
 		}
 	}
 }
@@ -282,9 +450,11 @@ func TestMmapFetchZeroAllocs(t *testing.T) {
 	}
 }
 
-// FuzzDiskOpenParity: for arbitrary bytes on disk, the ReadAt loader
-// and the mmap loader must agree on accept vs reject, and neither may
-// panic (or fault) on any input.
+// FuzzDiskOpenParity: for arbitrary bytes on disk, ReadIndex, the
+// ReadAt loader and the mmap loader must agree on accept vs reject, and
+// none may panic (or fault) on any input. Each input is also tried with
+// its checksums resealed, so mutations reach the structural and entry
+// checks behind them.
 func FuzzDiskOpenParity(f *testing.F) {
 	valid := buildSerialized(f)
 	f.Add(valid)
@@ -296,24 +466,31 @@ func FuzzDiskOpenParity(f *testing.F) {
 	corrupted := append([]byte(nil), valid...)
 	corrupted[80] ^= 0xff
 	f.Add(corrupted)
+	badEntry := append([]byte(nil), valid...)
+	badEntry[len(valid)-1] ^= 0x40 // the last value's exponent: above 1
+	f.Add(resealSLIX(badEntry))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if !MmapSupported() {
 			t.Skip("mmap not supported on this platform")
 		}
-		path := filepath.Join(t.TempDir(), "fuzz.slix")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		dr, errR := OpenDiskIndex(path, nil)
-		if errR == nil {
-			dr.Close()
-		}
-		dm, errM := OpenDiskIndexMmap(path, nil)
-		if errM == nil {
-			dm.Close()
-		}
-		if (errR == nil) != (errM == nil) {
-			t.Fatalf("loader disagreement: ReadAt err=%v, mmap err=%v", errR, errM)
+		dir := t.TempDir()
+		for i, b := range [][]byte{data, resealSLIX(data)} {
+			path := filepath.Join(dir, fmt.Sprintf("fuzz%d.slix", i))
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, errI := ReadIndex(bytes.NewReader(b), nil)
+			dr, errR := OpenDiskIndex(path, nil)
+			if errR == nil {
+				dr.Close()
+			}
+			dm, errM := OpenDiskIndexMmap(path, nil)
+			if errM == nil {
+				dm.Close()
+			}
+			if (errR == nil) != (errM == nil) || (errI == nil) != (errR == nil) {
+				t.Fatalf("loader disagreement: ReadIndex err=%v, ReadAt err=%v, mmap err=%v", errI, errR, errM)
+			}
 		}
 	})
 }

@@ -35,7 +35,7 @@ func (x *Index) FragmentOf(u graph.NodeID, s *Scratch) (keys []uint64, vals, dva
 	if s == nil {
 		s = x.NewScratch()
 	}
-	k, v := x.gather(u, s, &s.gk[0], &s.gv[0])
+	k, v := x.gather(u, s, 0)
 	return copyFragment(k, v, x.d)
 }
 
@@ -114,8 +114,8 @@ func (x *Index) Slice(lo, hi int) *Index {
 		reduced: append([]bool(nil), x.reduced...),
 		off:     make([]int64, n+1),
 		markOff: make([]int64, n+1),
-		keys:    append([]uint64(nil), x.keys[x.off[lo]:x.off[hi]]...),
-		vals:    append([]float64(nil), x.vals[x.off[lo]:x.off[hi]]...),
+		keys:    append([]uint32(nil), x.keys[x.off[lo]:x.off[hi]]...),
+		vals:    append([]float32(nil), x.vals[x.off[lo]:x.off[hi]]...),
 		marks:   append([]int32(nil), x.marks[x.markOff[lo]:x.markOff[hi]]...),
 	}
 	for v := lo; v < hi; v++ {
@@ -130,13 +130,13 @@ func (x *Index) Slice(lo, hi int) *Index {
 }
 
 // EntryBytes returns the serialized size of each node's stored HP
-// entries (16 bytes per entry: key + value), the weight vector a
-// byte-balancing shard planner partitions over.
+// entries (8 bytes per entry: a 32-bit key and a float32 value), the
+// weight vector a byte-balancing shard planner partitions over.
 func (x *Index) EntryBytes() []int64 {
 	n := len(x.d)
 	w := make([]int64, n)
 	for v := 0; v < n; v++ {
-		w[v] = 16 * (x.off[v+1] - x.off[v])
+		w[v] = 8 * (x.off[v+1] - x.off[v])
 	}
 	return w
 }

@@ -76,7 +76,7 @@ func (x *Index) SingleSource(u graph.NodeID, s *SourceScratch, out []float64) []
 	if s == nil {
 		s = x.NewSourceScratch()
 	}
-	keys, vals := x.gather(u, s.q, &s.q.gk[0], &s.q.gv[0])
+	keys, vals := x.gather(u, s.q, 0)
 	return x.SingleSourceFrom(keys, vals, s, out)
 }
 
@@ -133,7 +133,7 @@ func (x *Index) sourceTop(u graph.NodeID, k int, skip graph.NodeID, s *SourceScr
 	if s == nil {
 		s = x.NewSourceScratch()
 	}
-	keys, vals := x.gather(u, s.q, &s.q.gk[0], &s.q.gv[0])
+	keys, vals := x.gather(u, s.q, 0)
 	return x.topFrom(keys, vals, k, skip, 0, x.g.NumNodes(), s)
 }
 
@@ -223,11 +223,11 @@ func (x *Index) SingleSourceNaive(u graph.NodeID, s *Scratch, out []float64) []f
 		out = make([]float64, n)
 	}
 	out = out[:n]
-	ku, vu := x.gather(u, s, &s.gk[0], &s.gv[0])
-	// gather(u) may alias index storage; gathering v below can reuse only
-	// the second buffer pair so u's view stays valid.
+	ku, vu := x.gather(u, s, 0)
+	// Gathering v below uses only the second slot, so u's entries in
+	// the first stay valid.
 	for v := 0; v < n; v++ {
-		kv, vv := x.gather(graph.NodeID(v), s, &s.gk[1], &s.gv[1])
+		kv, vv := x.gather(graph.NodeID(v), s, 1)
 		out[v] = joinScore(ku, vu, kv, vv, x.d)
 	}
 	return out

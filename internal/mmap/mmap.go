@@ -1,6 +1,6 @@
 // Package mmap confines every unsafe reinterpretation in the
 // repository: it maps a file read-only into memory and hands out
-// typed []uint64 / []float64 views over byte ranges of the mapping,
+// typed []uint32 / []float32 views over byte ranges of the mapping,
 // so the disk-resident query path can consume index sections with
 // zero copies and zero per-query allocations — the OS page cache
 // becomes the only cache.

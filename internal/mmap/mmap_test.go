@@ -12,14 +12,14 @@ func TestViewsRoundTrip(t *testing.T) {
 	if !Supported() {
 		t.Skip("mmap unsupported on this platform")
 	}
-	vals := []float64{0, 1.5, -3.25, math.Pi}
-	keys := []uint64{7, 1 << 40, 42, 0}
-	buf := make([]byte, 8*len(keys)+8*len(vals))
+	vals := []float32{0, 1.5, -3.25, math.Pi}
+	keys := []uint32{7, 1 << 30, 42, 0}
+	buf := make([]byte, 4*len(keys)+4*len(vals))
 	for i, k := range keys {
-		binary.LittleEndian.PutUint64(buf[8*i:], k)
+		binary.LittleEndian.PutUint32(buf[4*i:], k)
 	}
 	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[8*len(keys)+8*i:], math.Float64bits(v))
+		binary.LittleEndian.PutUint32(buf[4*len(keys)+4*i:], math.Float32bits(v))
 	}
 	path := filepath.Join(t.TempDir(), "view.bin")
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
@@ -35,11 +35,11 @@ func TestViewsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	ks, err := U64(m.Bytes()[:8*len(keys)])
+	ks, err := U32(m.Bytes()[:4*len(keys)])
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs, err := F64(m.Bytes()[8*len(keys):])
+	vs, err := F32(m.Bytes()[4*len(keys):])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,20 +59,20 @@ func TestViewsRoundTrip(t *testing.T) {
 // torn reinterpretation.
 func TestViewRejectsMisalignment(t *testing.T) {
 	b := make([]byte, 64)
-	if _, err := U64(b[:12]); err == nil {
+	if _, err := U32(b[:6]); err == nil {
 		t.Fatal("ragged length accepted")
 	}
-	if _, err := F64(b[:12]); err == nil {
+	if _, err := F32(b[:6]); err == nil {
 		t.Fatal("ragged length accepted")
 	}
 	if hostLittleEndian {
-		// b is heap-allocated 8-aligned; b[4:] cannot be.
-		if _, err := U64(b[4:12]); err == nil {
+		// b is heap-allocated 8-aligned; b[2:] cannot be 4-aligned.
+		if _, err := U32(b[2:10]); err == nil {
 			t.Fatal("misaligned base accepted")
 		}
 	}
 	// Empty views are fine (a node with no entries).
-	if v, err := U64(nil); err != nil || v != nil {
+	if v, err := U32(nil); err != nil || v != nil {
 		t.Fatalf("empty view: %v, %v", v, err)
 	}
 }

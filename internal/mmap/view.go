@@ -12,42 +12,42 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// U64 reinterprets b as a []uint64 view sharing b's memory. The slice
-// must be 8-byte aligned and a whole number of words; violations error
+// U32 reinterprets b as a []uint32 view sharing b's memory. The slice
+// must be 4-byte aligned and a whole number of words; violations error
 // rather than producing a torn view.
-func U64(b []byte) ([]uint64, error) {
+func U32(b []byte) ([]uint32, error) {
 	p, n, err := wordBase(b)
 	if err != nil || n == 0 {
 		return nil, err
 	}
-	return unsafe.Slice((*uint64)(p), n), nil
+	return unsafe.Slice((*uint32)(p), n), nil
 }
 
-// F64 is U64 for float64 values (same representation width; the bit
-// patterns are the file's little-endian IEEE 754 doubles).
-func F64(b []byte) ([]float64, error) {
+// F32 is U32 for float32 values (same representation width; the bit
+// patterns are the file's little-endian IEEE 754 singles).
+func F32(b []byte) ([]float32, error) {
 	p, n, err := wordBase(b)
 	if err != nil || n == 0 {
 		return nil, err
 	}
-	return unsafe.Slice((*float64)(p), n), nil
+	return unsafe.Slice((*float32)(p), n), nil
 }
 
-// wordBase validates b for a 64-bit word view and returns its base
+// wordBase validates b for a 32-bit word view and returns its base
 // pointer and word count.
 func wordBase(b []byte) (unsafe.Pointer, int, error) {
 	if !hostLittleEndian {
 		return nil, 0, ErrUnsupported
 	}
-	if len(b)%8 != 0 {
-		return nil, 0, fmt.Errorf("mmap: region of %d bytes is not a whole number of 64-bit words", len(b))
+	if len(b)%4 != 0 {
+		return nil, 0, fmt.Errorf("mmap: region of %d bytes is not a whole number of 32-bit words", len(b))
 	}
 	if len(b) == 0 {
 		return nil, 0, nil
 	}
 	p := unsafe.Pointer(unsafe.SliceData(b))
-	if uintptr(p)%8 != 0 {
-		return nil, 0, fmt.Errorf("mmap: region is not 8-byte aligned")
+	if uintptr(p)%4 != 0 {
+		return nil, 0, fmt.Errorf("mmap: region is not 4-byte aligned")
 	}
-	return p, len(b) / 8, nil
+	return p, len(b) / 4, nil
 }

@@ -412,13 +412,33 @@ type ScoredNode struct {
 	Score float64 `json:"score"`
 }
 
+// The /simrank, /topk and /source bodies. Fields are declared in sorted
+// key order, so encoding/json writes the bytes a map of the same keys
+// would, without sorting keys or boxing values per response.
+type simRankResponse struct {
+	Score float64 `json:"score"`
+	U     int64   `json:"u"`
+	V     int64   `json:"v"`
+}
+
+type topKResponse struct {
+	Results []ScoredNode `json:"results"`
+	U       int64        `json:"u"`
+}
+
+type sourceResponse struct {
+	Scores []ScoredNode `json:"scores"`
+	U      int64        `json:"u"`
+}
+
 func (t *tenant) handleSimRank(w http.ResponseWriter, r *http.Request) {
-	u, err := t.node(r.URL.Query().Get("u"))
+	q := r.URL.Query()
+	u, err := t.node(q.Get("u"))
 	if err != nil {
 		httpErrorFor(w, http.StatusBadRequest, err)
 		return
 	}
-	v, err := t.node(r.URL.Query().Get("v"))
+	v, err := t.node(q.Get("v"))
 	if err != nil {
 		httpErrorFor(w, http.StatusBadRequest, err)
 		return
@@ -431,21 +451,18 @@ func (t *tenant) handleSimRank(w http.ResponseWriter, r *http.Request) {
 		t.queryError(w, r, err)
 		return
 	}
-	writeJSON(w, map[string]interface{}{
-		"u":     t.label(u),
-		"v":     t.label(v),
-		"score": score,
-	})
+	writeJSON(w, simRankResponse{Score: score, U: t.label(u), V: t.label(v)})
 }
 
 func (t *tenant) handleSource(w http.ResponseWriter, r *http.Request) {
-	u, err := t.node(r.URL.Query().Get("u"))
+	q := r.URL.Query()
+	u, err := t.node(q.Get("u"))
 	if err != nil {
 		httpErrorFor(w, http.StatusBadRequest, err)
 		return
 	}
 	limit := -1
-	if raw := r.URL.Query().Get("limit"); raw != "" {
+	if raw := q.Get("limit"); raw != "" {
 		l, err := strconv.Atoi(raw)
 		if err != nil || l < 0 {
 			httpError(w, http.StatusBadRequest, "bad limit")
@@ -461,7 +478,7 @@ func (t *tenant) handleSource(w http.ResponseWriter, r *http.Request) {
 		t.queryError(w, r, err)
 		return
 	}
-	writeJSON(w, map[string]interface{}{"u": t.label(u), "scores": scores})
+	writeJSON(w, sourceResponse{Scores: scores, U: t.label(u)})
 }
 
 // sourceScores computes the /source payload: the full score vector in
@@ -499,13 +516,14 @@ func (t *tenant) scored(top []sling.Scored) []ScoredNode {
 }
 
 func (t *tenant) handleTopK(w http.ResponseWriter, r *http.Request) {
-	u, err := t.node(r.URL.Query().Get("u"))
+	q := r.URL.Query()
+	u, err := t.node(q.Get("u"))
 	if err != nil {
 		httpErrorFor(w, http.StatusBadRequest, err)
 		return
 	}
 	k := 10
-	if raw := r.URL.Query().Get("k"); raw != "" {
+	if raw := q.Get("k"); raw != "" {
 		k, err = strconv.Atoi(raw)
 		if err != nil || k < 1 {
 			httpError(w, http.StatusBadRequest, "bad k")
@@ -520,7 +538,7 @@ func (t *tenant) handleTopK(w http.ResponseWriter, r *http.Request) {
 		t.queryError(w, r, err)
 		return
 	}
-	writeJSON(w, map[string]interface{}{"u": t.label(u), "results": t.scored(top)})
+	writeJSON(w, topKResponse{Results: t.scored(top), U: t.label(u)})
 }
 
 func (t *tenant) handleStats(w http.ResponseWriter, r *http.Request) {

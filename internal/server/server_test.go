@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -213,6 +214,54 @@ func TestLabelMapping(t *testing.T) {
 	// Unknown label must 400.
 	if rec, _ := get(t, s, "/simrank?u=1035&v=1070"); rec.Code != http.StatusBadRequest {
 		t.Fatal("unknown label accepted")
+	}
+}
+
+// The /simrank, /topk and /source bodies are encoded from structs; they
+// must be byte for byte what encoding the same answer as a map gave,
+// under label mapping, for empty and non-empty score lists alike.
+func TestQueryResponsesMatchMapEncoding(t *testing.T) {
+	labels := make([]int64, 40)
+	for i := range labels {
+		labels[i] = int64(1000 + i*10)
+	}
+	s, ix := testServer(t, labels)
+	scored := func(top []sling.Scored) []ScoredNode {
+		out := make([]ScoredNode, len(top))
+		for i, e := range top {
+			out[i] = ScoredNode{Node: labels[e.Node], Score: e.Score}
+		}
+		return out
+	}
+	vec := sourceVec(t, ix, 3)
+	full := make([]ScoredNode, len(vec))
+	for v, sc := range vec {
+		full[v] = ScoredNode{Node: labels[v], Score: sc}
+	}
+	cases := []struct {
+		path string
+		want map[string]interface{}
+	}{
+		{"/simrank?u=1030&v=1070", map[string]interface{}{"u": labels[3], "v": labels[7], "score": pairScore(t, ix, 3, 7)}},
+		{"/simrank?u=1030&v=1030", map[string]interface{}{"u": labels[3], "v": labels[3], "score": pairScore(t, ix, 3, 3)}},
+		{"/topk?u=1030&k=5", map[string]interface{}{"u": labels[3], "results": scored(topK(t, ix, 3, 5))}},
+		{"/topk?u=1030", map[string]interface{}{"u": labels[3], "results": scored(topK(t, ix, 3, 10))}},
+		{"/source?u=1030&limit=4", map[string]interface{}{"u": labels[3], "scores": scored(sourceTop(t, ix, 3, 4))}},
+		{"/source?u=1030&limit=0", map[string]interface{}{"u": labels[3], "scores": []ScoredNode{}}},
+		{"/source?u=1030", map[string]interface{}{"u": labels[3], "scores": full}},
+	}
+	for _, c := range cases {
+		rec, _ := get(t, s, c.path)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.path, rec.Code, rec.Body.String())
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(c.want); err != nil {
+			t.Fatal(err)
+		}
+		if got := rec.Body.String(); got != want.String() {
+			t.Fatalf("%s: body\n%s\nwant the map encoding\n%s", c.path, got, want.String())
+		}
 	}
 }
 

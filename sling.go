@@ -305,8 +305,9 @@ type DiskOptions struct {
 	// Workers bounds SingleSourceBatch fan-out. Default GOMAXPROCS.
 	Workers int
 	// Mmap memory-maps the index file and serves the entries regions as
-	// zero-copy typed views: fetch is pointer arithmetic with zero
-	// per-query allocations and the OS page cache is the only cache. On
+	// typed views: a fetch widens a slice of the mapping with no read
+	// syscall and zero per-query allocations, and the OS page cache is
+	// the only cache. On
 	// platforms or byte orders where the reinterpretation is invalid
 	// (no mmap, big-endian) opening silently falls back to the
 	// positioned-read path; Mapped reports which mode serves.
@@ -418,6 +419,10 @@ var (
 	// ErrDurableCorrupt: recovery refused damage it cannot repair without
 	// losing acknowledged updates.
 	ErrDurableCorrupt = durable.ErrCorrupt
+	// ErrIndexCorrupt: Open, ReadIndex, OpenDisk or OpenDiskWithOptions
+	// found a damaged index file (a checksum mismatch, a truncated
+	// section, or an entry no build writes).
+	ErrIndexCorrupt = core.ErrCorrupt
 )
 
 // DynamicOptions tunes the dynamic layer beyond its defaults.

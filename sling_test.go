@@ -770,7 +770,7 @@ func TestDiskReadAtFaultIsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(path, st.Size()-16*di.NumEntries()); err != nil {
+	if err := os.Truncate(path, st.Size()-8*di.NumEntries()); err != nil {
 		t.Fatal(err)
 	}
 	check := func(family string, gotAnswer bool, err error) {
