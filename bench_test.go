@@ -1,5 +1,5 @@
 // Benchmarks mirroring the paper's evaluation, one testing.B target per
-// table/figure series (see README's "Measuring throughput"). They run on
+// table/figure series (see README's "Measuring performance"). They run on
 // the smaller dataset stand-ins so `go test -bench=.` terminates quickly; the
 // full sweeps live in cmd/slingbench.
 package sling
@@ -409,10 +409,11 @@ func BenchmarkTopKEndToEnd(b *testing.B) {
 func BenchmarkSingleSourceBatch(b *testing.B) {
 	s := setup(b, "GrQc")
 	us := s.nodes[:64]
+	p := s.sling.NewScratchPool()
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(map[int]string{1: "workers-1", 2: "workers-2", 4: "workers-4", 8: "workers-8"}[workers], func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := s.sling.SingleSourceBatch(nil, us, workers); err != nil {
+				if _, err := p.SingleSourceBatch(nil, us, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

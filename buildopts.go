@@ -3,8 +3,7 @@ package sling
 // Functional construction options for Build, BuildWithStats,
 // BuildOutOfCore, and NewDynamic. The zero configuration reproduces the
 // paper's experimental setup (c = 0.6, ε = 0.025, δ_d = 1/n²); each
-// option overrides one knob. The legacy Options struct remains available
-// through WithOptions as a migration shim.
+// option overrides one knob.
 
 // BuildOption configures index construction. Apply options with
 // sling.Build(g, sling.WithEps(0.01), sling.WithWorkers(8), ...).
@@ -21,13 +20,6 @@ func resolveBuild(opts []BuildOption) *Options {
 	}
 	return &o
 }
-
-// WithOptions applies a whole legacy Options struct at once, overriding
-// anything set by earlier options.
-//
-// Deprecated: migration shim for pre-Querier callers that assembled an
-// Options value; new code should use the individual With* options.
-func WithOptions(o Options) BuildOption { return func(dst *Options) { *dst = o } }
 
 // WithC sets the SimRank decay factor in (0, 1). Default 0.6.
 func WithC(c float64) BuildOption { return func(o *Options) { o.C = c } }

@@ -96,7 +96,7 @@ func runSharded() error {
 		return err
 	}
 	g := spec.Generate(*scaleFlag)
-	ix, err := sling.Build(g, sling.WithOptions(slingOpt))
+	ix, err := sling.Build(g, sling.WithEps(slingOpt.Eps), sling.WithSeed(slingOpt.Seed))
 	if err != nil {
 		return fmt.Errorf("%s: build: %w", spec.Name, err)
 	}

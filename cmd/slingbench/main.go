@@ -22,45 +22,33 @@
 //	fig9     SLING preprocessing time vs worker count
 //	fig10    out-of-core preprocessing time vs memory buffer
 //	ablation Section 5 design-choice ablations
-//	throughput  batch single-source throughput vs worker count, and
-//	         top-k heap selection vs full sort (the serving engine's
-//	         hot paths; not a paper figure)
 //	diskqps  disk-resident (Section 5.4) single-pair QPS vs goroutine
-//	         count, positioned reads vs mmap, with allocs/op (not a
-//	         paper figure; bounds the -disk serving tier)
-//	dynamic  query QPS and staleness (affected-frontier size, pending
-//	         ops, epoch swaps) while edge updates stream in at each
-//	         -update-rates setting (not a paper figure; bounds the
-//	         dynamic-graph serving tier)
-//	querier  every facade backend (memory, disk, dynamic) driven through
-//	         the one sling.Querier interface: pair latency, top-k
-//	         latency, and batch throughput from a single benchmark loop,
-//	         so any future backend benches for free (not a paper figure);
-//	         also writes BENCH_querier.json with QPS and p50/p99 from
-//	         the serving histograms
-//	catalog  the multi-tenant stack end to end: one dataset served as
-//	         memory, disk, and dynamic entries of a catalog server,
-//	         driven through the real /g/{id}/simrank HTTP routes; writes
-//	         BENCH_catalog.json (not a paper figure)
+//	         count, positioned reads vs mmap, with allocs/op; writes
+//	         BENCH_diskqps.json (not a paper figure)
 //	sharded  sharded-router QPS vs shard count: one dataset split into
 //	         in-process shards behind the internal/shard router, pair /
 //	         single-source / top-k latency at each shard count; writes
 //	         BENCH_sharded.json (not a paper figure)
-//	all      everything above
+//	all      everything above, in this order
+//
+// Served throughput and latency are perfbench's to measure: its
+// workloads drive the real HTTP handlers (README, "Measuring
+// performance"). diskqps and sharded stay here until perfbench covers
+// ReadAt vs mmap and a shard-count sweep.
 //
 // The default "fast" preset uses ε=0.1 so the full sweep finishes on a
 // laptop; -preset paper switches to the paper's ε=0.025 (Section 7.1).
 // Accuracy experiments always run SLING at the paper's ε. Absolute times
 // differ from the paper's C++/16-core testbed; the comparison shapes are
-// what carries over (README, "Measuring throughput").
+// what carries over.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -69,22 +57,44 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"sling"
 	"sling/internal/core"
-	"sling/internal/dynamic"
 	"sling/internal/eval"
 	"sling/internal/graph"
 	"sling/internal/humanize"
 	"sling/internal/linearize"
 	"sling/internal/mc"
-	"sling/internal/metrics"
 	"sling/internal/power"
-	"sling/internal/rng"
 	"sling/internal/workload"
 )
 
+// experiments lists every -exp target in the order -exp all runs them.
+// A target answers to any of its names.
+var experiments = []struct {
+	names []string
+	run   func() error
+}{
+	{[]string{"table3"}, runTable3},
+	{[]string{"fig1", "fig2", "fig3", "fig4", "perf"}, runPerf},
+	{[]string{"fig5", "fig6", "fig7", "acc"}, runAccuracy},
+	{[]string{"fig9"}, runThreads},
+	{[]string{"fig10"}, runBuffers},
+	{[]string{"ablation"}, runAblation},
+	{[]string{"diskqps"}, runDiskQPS},
+	{[]string{"sharded"}, runSharded},
+}
+
+// experimentNames is the -exp help list: every name in table order,
+// then "all".
+func experimentNames() string {
+	var names []string
+	for _, x := range experiments {
+		names = append(names, x.names...)
+	}
+	return strings.Join(append(names, "all"), "|")
+}
+
 var (
-	expFlag      = flag.String("exp", "perf", "experiment: table3|fig1|fig2|fig3|fig4|perf|fig5|fig6|fig7|acc|fig9|fig10|ablation|throughput|diskqps|dynamic|querier|catalog|all")
+	expFlag      = flag.String("exp", "perf", "comma-separated experiments: "+experimentNames())
 	datasetsFlag = flag.String("datasets", "", "comma-separated dataset names (default: per-experiment)")
 	scaleFlag    = flag.Float64("scale", 1, "dataset scale factor")
 	presetFlag   = flag.String("preset", "fast", "parameter preset: fast (eps=0.1) or paper (eps=0.025)")
@@ -98,12 +108,6 @@ var (
 	kvalsFlag    = flag.String("k", "400,800,1200,1600,2000", "k values for fig7")
 	mcCapFlag    = flag.Int64("mccap", 1<<30, "max MC index bytes before the dataset is skipped (paper: 64GB)")
 	diskOpsFlag  = flag.Int("diskops", 20000, "diskqps single-pair queries per cell")
-
-	updRatesFlag   = flag.String("update-rates", "0,200,2000", "dynamic: edge-update rates in ops/sec, one cell each")
-	dynDurFlag     = flag.Duration("dyndur", 3*time.Second, "dynamic: wall time per cell")
-	dynThreshFlag  = flag.Int("rebuild-every", 500, "dynamic: applied ops per background rebuild (0 = never)")
-	dynWalksFlag   = flag.Int("dynwalks", 1024, "dynamic: MC walks per affected-node estimate")
-	dynWorkersFlag = flag.Int("dynworkers", 4, "dynamic: concurrent query goroutines")
 )
 
 func main() {
@@ -115,91 +119,18 @@ func main() {
 }
 
 func run() error {
-	exps := strings.Split(*expFlag, ",")
-	for _, e := range exps {
-		switch strings.TrimSpace(e) {
-		case "table3":
-			runTable3()
-		case "fig1", "fig2", "fig3", "fig4", "perf":
-			if err := runPerf(); err != nil {
-				return err
+	for _, e := range strings.Split(*expFlag, ",") {
+		name := strings.TrimSpace(e)
+		ran := false
+		for _, x := range experiments {
+			if name == "all" || slices.Contains(x.names, name) {
+				if err := x.run(); err != nil {
+					return err
+				}
+				ran = true
 			}
-		case "fig5", "fig6", "fig7", "acc":
-			if err := runAccuracy(); err != nil {
-				return err
-			}
-		case "fig9":
-			if err := runThreads(); err != nil {
-				return err
-			}
-		case "fig10":
-			if err := runBuffers(); err != nil {
-				return err
-			}
-		case "ablation":
-			if err := runAblation(); err != nil {
-				return err
-			}
-		case "throughput":
-			if err := runThroughput(); err != nil {
-				return err
-			}
-		case "diskqps":
-			if err := runDiskQPS(); err != nil {
-				return err
-			}
-		case "dynamic":
-			if err := runDynamic(); err != nil {
-				return err
-			}
-		case "querier":
-			if err := runQuerier(); err != nil {
-				return err
-			}
-		case "catalog":
-			if err := runCatalog(); err != nil {
-				return err
-			}
-		case "sharded":
-			if err := runSharded(); err != nil {
-				return err
-			}
-		case "all":
-			runTable3()
-			if err := runPerf(); err != nil {
-				return err
-			}
-			if err := runAccuracy(); err != nil {
-				return err
-			}
-			if err := runThreads(); err != nil {
-				return err
-			}
-			if err := runBuffers(); err != nil {
-				return err
-			}
-			if err := runAblation(); err != nil {
-				return err
-			}
-			if err := runThroughput(); err != nil {
-				return err
-			}
-			if err := runDiskQPS(); err != nil {
-				return err
-			}
-			if err := runDynamic(); err != nil {
-				return err
-			}
-			if err := runQuerier(); err != nil {
-				return err
-			}
-			if err := runCatalog(); err != nil {
-				return err
-			}
-			if err := runSharded(); err != nil {
-				return err
-			}
-		default:
+		}
+		if !ran {
 			return fmt.Errorf("unknown experiment %q", e)
 		}
 	}
@@ -290,7 +221,7 @@ func newTab() *tabwriter.Writer {
 
 // ---------------------------------------------------------------- table3
 
-func runTable3() {
+func runTable3() error {
 	fmt.Println("== Table 3: datasets (synthetic stand-ins; paper sizes in parentheses) ==")
 	w := newTab()
 	fmt.Fprintln(w, "dataset\ttype\tn\tm\tpaper n\tpaper m\tgenerator")
@@ -305,6 +236,7 @@ func runTable3() {
 	}
 	w.Flush()
 	fmt.Println()
+	return nil
 }
 
 // ------------------------------------------------------------- fig1-fig4
@@ -772,91 +704,6 @@ func runAblation() error {
 	return nil
 }
 
-// ------------------------------------------------------------ throughput
-
-// runThroughput measures the query-serving engine (not a paper figure):
-// SingleSourceBatch throughput as the source fan-out widens across
-// workers, and top-k selection with the size-k heap against the full-sort
-// baseline it replaced. The batch path is what POST /batch drives, so
-// these numbers bound served throughput on this host.
-func runThroughput() error {
-	def := []workload.Spec{}
-	for _, name := range []string{"GrQc", "Wiki-Vote", "Enron"} {
-		s, ok := workload.ByName(name)
-		if !ok {
-			return fmt.Errorf("unknown default dataset %q", name)
-		}
-		def = append(def, s)
-	}
-	specs, err := selectDatasets(def)
-	if err != nil {
-		return err
-	}
-	slingOpt, _, _, err := params(*presetFlag)
-	if err != nil {
-		return err
-	}
-	threads, err := parseInts(*threadsFlag)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("== Throughput: batch single-source and top-k serving paths (preset %s, scale %g) ==\n", *presetFlag, *scaleFlag)
-
-	fmt.Println("\n-- single-source batch throughput vs workers --")
-	w := newTab()
-	fmt.Fprintln(w, "dataset\tworkers\tsources\ttotal\tqueries/s\tspeedup")
-	type topkRow struct {
-		name       string
-		heap, sort time.Duration
-	}
-	var topkRows []topkRow
-	for _, spec := range specs {
-		g := spec.Generate(*scaleFlag)
-		ix, err := core.Build(g, &slingOpt)
-		if err != nil {
-			return fmt.Errorf("%s: build: %w", spec.Name, err)
-		}
-		sources := workload.RandomNodes(g, *sourcesFlag, *seedFlag+13)
-		var serial time.Duration
-		for _, th := range threads {
-			start := time.Now()
-			if _, err := ix.SingleSourceBatch(nil, sources, th); err != nil {
-				return err
-			}
-			total := time.Since(start)
-			if th == threads[0] {
-				serial = total
-			}
-			fmt.Fprintf(w, "%s\t%d\t%d\t%s\t%.0f\t%.2fx\n",
-				spec.Name, th, len(sources), fmtDur(total),
-				float64(len(sources))/total.Seconds(), float64(serial)/float64(total))
-		}
-
-		// Top-k: heap selection vs the full n log n sort it replaced,
-		// over one shared score vector so only selection is timed.
-		scores := ix.SingleSource(sources[0], nil, nil)
-		row := topkRow{name: spec.Name}
-		row.heap, _ = timeBox(2000, 5*time.Second, func(i int) {
-			core.SelectTop(scores, 10, sources[0])
-		})
-		row.sort, _ = timeBox(2000, 5*time.Second, func(i int) {
-			fullSortTop(scores, 10, sources[0])
-		})
-		topkRows = append(topkRows, row)
-	}
-	w.Flush()
-
-	fmt.Println("\n-- top-10 selection over one score vector --")
-	w = newTab()
-	fmt.Fprintln(w, "dataset\theap (O(n log k))\tfull sort (O(n log n))\tspeedup")
-	for _, r := range topkRows {
-		fmt.Fprintf(w, "%s\t%s\t%s\t%.1fx\n", r.name, fmtDur(r.heap), fmtDur(r.sort), float64(r.sort)/float64(r.heap))
-	}
-	w.Flush()
-	fmt.Println()
-	return nil
-}
-
 // --------------------------------------------------------------- diskqps
 
 // diskQPSRow is one (dataset, backend, workers) cell of the diskqps
@@ -1002,262 +849,6 @@ func runDiskQPS() error {
 	return writeBenchJSON("BENCH_diskqps.json", rows, "diskqps")
 }
 
-// --------------------------------------------------------------- dynamic
-
-// runDynamic measures the updatable-index serving tier: single-pair query
-// QPS from -dynworkers goroutines while a writer streams edge updates at
-// each -update-rates setting, with background rebuilds every
-// -rebuild-every applied ops. Staleness columns sample the affected-node
-// frontier and the ops not yet reflected in the serving index; "swaps"
-// counts completed epoch rebuilds. Rate 0 is the static baseline the
-// other rows are read against.
-func runDynamic() error {
-	def := []workload.Spec{}
-	for _, name := range []string{"GrQc", "Wiki-Vote"} {
-		s, ok := workload.ByName(name)
-		if !ok {
-			return fmt.Errorf("unknown default dataset %q", name)
-		}
-		def = append(def, s)
-	}
-	specs, err := selectDatasets(def)
-	if err != nil {
-		return err
-	}
-	slingOpt, _, _, err := params(*presetFlag)
-	if err != nil {
-		return err
-	}
-	rates, err := parseInts(*updRatesFlag)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("== Dynamic: query QPS and staleness under streaming edge updates (preset %s, scale %g) ==\n",
-		*presetFlag, *scaleFlag)
-	fmt.Printf("   (%d query goroutines, %v per cell, rebuild every %d ops, %d MC walks)\n",
-		*dynWorkersFlag, *dynDurFlag, *dynThreshFlag, *dynWalksFlag)
-	w := newTab()
-	fmt.Fprintln(w, "dataset\tupd/s\tqueries\tqueries/s\tapplied\tswaps\tavg affected\tmax affected\tmax pending")
-	for _, spec := range specs {
-		g := spec.Generate(*scaleFlag)
-		n := g.NumNodes()
-		for _, rate := range rates {
-			d, err := dynamic.New(g, dynamic.Options{
-				Build:            slingOpt,
-				RebuildThreshold: *dynThreshFlag,
-				NumWalks:         *dynWalksFlag,
-				Seed:             *seedFlag,
-			})
-			if err != nil {
-				return fmt.Errorf("%s: dynamic build: %w", spec.Name, err)
-			}
-			pairs := workload.RandomPairs(g, 4096, *seedFlag+19)
-			deadline := time.Now().Add(*dynDurFlag)
-			var queries atomic.Int64
-			var wg sync.WaitGroup
-			for qw := 0; qw < *dynWorkersFlag; qw++ {
-				wg.Add(1)
-				go func(qw int) {
-					defer wg.Done()
-					for i := qw; time.Now().Before(deadline); i++ {
-						p := pairs[i%len(pairs)]
-						d.SimRank(p.U, p.V)
-						queries.Add(1)
-					}
-				}(qw)
-			}
-			// Writer: apply a batch every tick sized to hit the target
-			// rate; removals pick previously-added synthetic edges so the
-			// graph does not drift monotonically.
-			var affSum, affMax, pendMax, samples int64
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				r := rng.New(*seedFlag + uint64(rate)*101)
-				var synth []dynamic.Op
-				const tick = 5 * time.Millisecond
-				begin := time.Now()
-				issued := 0 // pace against the wall clock, not tick counts,
-				// so Apply/Stats cost inside the loop cannot starve the rate
-				for time.Now().Before(deadline) {
-					time.Sleep(tick)
-					perTick := int(float64(rate)*time.Since(begin).Seconds()) - issued
-					issued += perTick
-					if perTick > 0 {
-						ops := make([]dynamic.Op, 0, perTick)
-						for i := 0; i < perTick; i++ {
-							if len(synth) > 0 && r.Intn(2) == 0 {
-								j := r.Intn(len(synth))
-								e := synth[j]
-								synth[j] = synth[len(synth)-1]
-								synth = synth[:len(synth)-1]
-								ops = append(ops, dynamic.Op{From: e.From, To: e.To})
-							} else {
-								ops = append(ops, dynamic.Op{Add: true,
-									From: graph.NodeID(r.Intn(n)), To: graph.NodeID(r.Intn(n))})
-							}
-						}
-						res, _, err := d.Apply(ops)
-						if err != nil {
-							return
-						}
-						// Only adds that actually changed the graph become
-						// removal candidates: an add colliding with a base
-						// edge was a no-op, and removing it later would strip
-						// the original edge and drift the graph downward.
-						for i, or := range res {
-							if ops[i].Add && or.Applied {
-								synth = append(synth, ops[i])
-							}
-						}
-					}
-					st := d.Stats()
-					affSum += int64(st.AffectedNodes)
-					if int64(st.AffectedNodes) > affMax {
-						affMax = int64(st.AffectedNodes)
-					}
-					if int64(st.StaleOps) > pendMax {
-						pendMax = int64(st.StaleOps)
-					}
-					samples++
-				}
-			}()
-			wg.Wait()
-			st := d.Stats()
-			d.Close()
-			avgAff := "-"
-			if samples > 0 {
-				avgAff = fmt.Sprintf("%.0f", float64(affSum)/float64(samples))
-			}
-			fmt.Fprintf(w, "%s\t%d\t%d\t%.0f\t%d\t%d\t%s\t%d\t%d\n",
-				spec.Name, rate, queries.Load(),
-				float64(queries.Load())/dynDurFlag.Seconds(),
-				st.TotalOps, st.Rebuilds, avgAff, affMax, pendMax)
-		}
-	}
-	w.Flush()
-	fmt.Println()
-	return nil
-}
-
-// ------------------------------------------------------------- querier
-
-// runQuerier drives every facade backend through the one sling.Querier
-// interface with a single benchmark loop: single-pair latency, top-10
-// latency, and batch single-source throughput per backend. Because the
-// loop only sees the interface, a future backend (sharded, replicated,
-// remote) lands in this table by adding one constructor line.
-func runQuerier() error {
-	def := []workload.Spec{}
-	for _, name := range []string{"GrQc", "Wiki-Vote"} {
-		s, ok := workload.ByName(name)
-		if !ok {
-			return fmt.Errorf("unknown default dataset %q", name)
-		}
-		def = append(def, s)
-	}
-	specs, err := selectDatasets(def)
-	if err != nil {
-		return err
-	}
-	slingOpt, _, _, err := params(*presetFlag)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("== Querier: the uniform interface across backends (preset %s, scale %g) ==\n",
-		*presetFlag, *scaleFlag)
-	w := newTab()
-	fmt.Fprintln(w, "dataset\tbackend\tpair\ttop-10\tbatch sources/s")
-	ctx := context.Background()
-	var rows []querierRow
-	for _, spec := range specs {
-		g := spec.Generate(*scaleFlag)
-		ix, err := sling.Build(g, sling.WithOptions(slingOpt))
-		if err != nil {
-			return fmt.Errorf("%s: build: %w", spec.Name, err)
-		}
-		dir, err := os.MkdirTemp("", "slingbench-querier")
-		if err != nil {
-			return err
-		}
-		path := dir + "/index.slix"
-		if err := ix.Save(path); err != nil {
-			os.RemoveAll(dir)
-			return err
-		}
-		di, err := sling.OpenDiskWithOptions(path, g, &sling.DiskOptions{Workers: 4})
-		if err != nil {
-			os.RemoveAll(dir)
-			return err
-		}
-		dx, err := sling.NewDynamic(g, &sling.DynamicOptions{NumWalks: *dynWalksFlag, Workers: 4},
-			sling.WithOptions(slingOpt))
-		if err != nil {
-			di.Close()
-			os.RemoveAll(dir)
-			return err
-		}
-
-		pairs := workload.RandomPairs(g, *pairsFlag, *seedFlag+23)
-		sources := workload.RandomNodes(g, *sourcesFlag, *seedFlag+29)
-		backends := []struct {
-			name string
-			q    sling.Querier
-		}{
-			{"memory", ix},
-			{"disk", di},
-			{"dynamic", dx},
-		}
-		var benchErr error
-		for _, be := range backends {
-			q := be.q
-			// Per-op latencies go through the same fixed-bucket histograms
-			// the server's /metrics exposes, so the JSON artifact's
-			// quantiles match what operators would scrape.
-			reg := metrics.NewRegistry()
-			pairH := reg.Histogram("pair_seconds", "single-pair latency", metrics.LatencyBuckets)
-			topH := reg.Histogram("topk_seconds", "top-k latency", metrics.LatencyBuckets)
-			pairWall, _ := timeBox(len(pairs), *budgetFlag, func(i int) {
-				t0 := time.Now()
-				if _, err := q.SimRank(ctx, pairs[i].U, pairs[i].V); err != nil && benchErr == nil {
-					benchErr = err
-				}
-				pairH.ObserveSince(t0)
-			})
-			topWall, _ := timeBox(len(sources), *budgetFlag, func(i int) {
-				t0 := time.Now()
-				if _, err := q.TopK(ctx, sources[i], 10); err != nil && benchErr == nil {
-					benchErr = err
-				}
-				topH.ObserveSince(t0)
-			})
-			start := time.Now()
-			if _, err := q.SingleSourceBatch(ctx, sources); err != nil && benchErr == nil {
-				benchErr = err
-			}
-			batchQPS := float64(len(sources)) / time.Since(start).Seconds()
-			rows = append(rows, querierRow{
-				Dataset:     spec.Name,
-				Backend:     be.name,
-				Pair:        histStats(pairH, pairWall*time.Duration(pairH.Count())),
-				TopK:        histStats(topH, topWall*time.Duration(topH.Count())),
-				BatchPerSec: batchQPS,
-			})
-			fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%.0f\n",
-				spec.Name, be.name, fmtDur(pairWall), fmtDur(topWall), batchQPS)
-			w.Flush()
-		}
-		dx.Close()
-		di.Close()
-		os.RemoveAll(dir)
-		if benchErr != nil {
-			return fmt.Errorf("%s: querier bench: %w", spec.Name, benchErr)
-		}
-	}
-	fmt.Println()
-	return writeBenchJSON("BENCH_querier.json", rows, "querier")
-}
-
 // diskPairRun fires count single-pair disk queries across workers
 // goroutines pulling from a shared atomic counter, and returns how many
 // ran and the wall time.
@@ -1296,28 +887,6 @@ func diskPairRun(pool *core.ScratchPool, pairs []workload.Pair, count, workers i
 		return 0, 0, *ep
 	}
 	return count, elapsed, nil
-}
-
-// fullSortTop is the pre-heap top-k baseline: materialize every positive
-// candidate and sort all of them.
-func fullSortTop(scores []float64, k int, skip graph.NodeID) []core.TopEntry {
-	out := make([]core.TopEntry, 0, len(scores))
-	for v, sc := range scores {
-		if graph.NodeID(v) == skip || sc <= 0 {
-			continue
-		}
-		out = append(out, core.TopEntry{Node: graph.NodeID(v), Score: sc})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		return out[i].Node < out[j].Node
-	})
-	if k > len(out) {
-		k = len(out)
-	}
-	return out[:k]
 }
 
 func parseInts(csv string) ([]int, error) {

@@ -232,12 +232,18 @@ func New(m Manifest, reg *metrics.Registry) (*Catalog, error) {
 		}, gl)
 		if spec.mode() == "dynamic" {
 			reg.GaugeFunc(MetricGraphEpoch, "serving index generation", func() float64 {
+				// Meta waits on the graph's WAL mutex, which a durable
+				// append or snapshot holds across its fsync, so it runs
+				// after c.mu is released: under c.mu it would stall every
+				// Acquire and Release. Dynamic entries are pinned, so q
+				// stays open.
 				c.mu.Lock()
-				defer c.mu.Unlock()
-				if e.state == stateOpen {
-					return float64(e.q.Meta().Epoch)
+				q := e.q // nil unless open
+				c.mu.Unlock()
+				if q == nil {
+					return 0
 				}
-				return 0
+				return float64(q.Meta().Epoch)
 			}, gl)
 		}
 		c.entries[spec.ID] = e

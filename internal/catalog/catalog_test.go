@@ -441,6 +441,63 @@ func TestMetricsSurface(t *testing.T) {
 	}
 }
 
+// blockingMeta is an open dynamic entry's Querier whose Meta parks until
+// release is closed, the way a durable graph's Meta waits on its WAL
+// mutex while a snapshot is written and fsynced.
+type blockingMeta struct {
+	sling.Querier // nil: only Meta and Close are called
+	entered       chan struct{}
+	release       chan struct{}
+}
+
+func (b *blockingMeta) Meta() sling.QuerierMeta {
+	close(b.entered)
+	<-b.release
+	return sling.QuerierMeta{Epoch: 3}
+}
+
+func (b *blockingMeta) Close() error { return nil }
+
+// A /metrics scrape whose epoch gauge waits on a slow Meta must not hold
+// the catalog lock: every Acquire, Release and Stats takes that lock.
+func TestEpochGaugeDoesNotBlockCatalog(t *testing.T) {
+	reg := metrics.NewRegistry()
+	c, err := New(Manifest{Graphs: []GraphSpec{
+		{ID: "dyn", Graph: "never-opened.txt", Mode: "dynamic"},
+	}}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	q := &blockingMeta{entered: make(chan struct{}), release: make(chan struct{})}
+	c.mu.Lock()
+	e := c.entries["dyn"]
+	e.state, e.q = stateOpen, q
+	c.mu.Unlock()
+
+	scraped := make(chan string)
+	go func() {
+		var sb strings.Builder
+		reg.WriteText(&sb)
+		scraped <- sb.String()
+	}()
+	<-q.entered
+	stats := make(chan Stats, 1)
+	go func() { stats <- c.Stats() }()
+	select {
+	case st := <-stats:
+		if st.Open != 1 {
+			t.Errorf("Stats().Open = %d, want 1", st.Open)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("Stats blocked while a scrape waited on Meta")
+	}
+	close(q.release)
+	if out := <-scraped; !strings.Contains(out, MetricGraphEpoch+`{graph="dyn"} 3`) {
+		t.Errorf("exposition missing the epoch gauge:\n%s", out)
+	}
+}
+
 func TestManifestValidate(t *testing.T) {
 	base := GraphSpec{ID: "g", Graph: "g.txt"}
 	cases := []struct {

@@ -198,7 +198,7 @@ type StaticSet struct {
 // NewStaticSet builds the static backend group over g. dir receives the
 // SLIX file and the out-of-core spill; withHTTP adds the two HTTP modes.
 // On error every resource already acquired is released.
-func NewStaticSet(g *sling.Graph, opt *sling.Options, dir string, withHTTP bool) (set *StaticSet, err error) {
+func NewStaticSet(g *sling.Graph, dir string, withHTTP bool, opts ...sling.BuildOption) (set *StaticSet, err error) {
 	set = &StaticSet{BuildMS: make(map[string]float64)}
 	defer func() {
 		if err != nil {
@@ -207,7 +207,7 @@ func NewStaticSet(g *sling.Graph, opt *sling.Options, dir string, withHTTP bool)
 		}
 	}()
 
-	ix, ms, err := timed(func() (*sling.Index, error) { return sling.Build(g, sling.WithOptions(*opt)) })
+	ix, ms, err := timed(func() (*sling.Index, error) { return sling.Build(g, opts...) })
 	if err != nil {
 		return nil, fmt.Errorf("conformance: memory build: %w", err)
 	}
@@ -250,7 +250,7 @@ func NewStaticSet(g *sling.Graph, opt *sling.Options, dir string, withHTTP bool)
 	}
 
 	ooc, ms, err := timed(func() (*sling.Index, error) {
-		return sling.BuildOutOfCore(g, dir, 1<<20, sling.WithOptions(*opt))
+		return sling.BuildOutOfCore(g, dir, 1<<20, opts...)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("conformance: out-of-core build: %w", err)

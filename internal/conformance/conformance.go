@@ -238,10 +238,10 @@ func Run(opts Options) (*Report, error) {
 func runFamilyConfig(o Options, only *regexp.Regexp, fam workload.Family, cfg Config,
 	g *sling.Graph, truth *power.Scores) ([]Cell, int, error) {
 
-	opt := &sling.Options{C: cfg.C, Eps: cfg.Eps, Seed: o.Seed}
+	opts := []sling.BuildOption{sling.WithC(cfg.C), sling.WithEps(cfg.Eps), sling.WithSeed(o.Seed)}
 	match := func(name string) bool { return only == nil || only.MatchString(name) }
 
-	set, err := NewStaticSet(g, opt, o.Dir, o.HTTP)
+	set, err := NewStaticSet(g, o.Dir, o.HTTP, opts...)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -269,7 +269,7 @@ func runFamilyConfig(o Options, only *regexp.Regexp, fam workload.Family, cfg Co
 	}
 
 	if o.Dynamic {
-		dyn, err := dynamicCells(o, fam, cfg, g, opt)
+		dyn, err := dynamicCells(o, fam, cfg, g, opts...)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -489,11 +489,11 @@ func sameScored(a, b []sling.Scored) bool {
 // restored twin (snapshot + WAL-tail replay from the same directory)
 // that must answer bitwise-identically to the live index.
 func dynamicCells(o Options, fam workload.Family, cfg Config, g *sling.Graph,
-	opt *sling.Options) ([]Cell, error) {
+	opts ...sling.BuildOption) ([]Cell, error) {
 
 	durDir := filepath.Join(o.Dir, fmt.Sprintf("durable-%s-%s", fam.Name, cfg))
 	dx, buildMS, err := timed(func() (*sling.DynamicIndex, error) {
-		return sling.NewDynamic(g, &sling.DynamicOptions{DurableDir: durDir}, sling.WithOptions(*opt))
+		return sling.NewDynamic(g, &sling.DynamicOptions{DurableDir: durDir}, opts...)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("dynamic build: %w", err)
@@ -541,7 +541,7 @@ func dynamicCells(o Options, fam workload.Family, cfg Config, g *sling.Graph,
 	// Restore from the durable directory while the update mix is still a
 	// pure WAL tail (initial snapshot + replayed records) and require
 	// bitwise-identical answers from the restored twin.
-	cells = append(cells, restoredCell(o, fam, cfg, dx, durDir, opt))
+	cells = append(cells, restoredCell(o, fam, cfg, dx, durDir, opts...))
 
 	// Rebuild and compare bitwise against a clamped fresh build of the
 	// mutated graph.
@@ -550,7 +550,7 @@ func dynamicCells(o Options, fam workload.Family, cfg Config, g *sling.Graph,
 		return nil, fmt.Errorf("rebuild: %w", err)
 	}
 	rebuildMS := float64(time.Since(rebuildStart).Nanoseconds()) / 1e6
-	fresh, err := sling.Build(mutated, sling.WithOptions(*opt))
+	fresh, err := sling.Build(mutated, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("fresh build of mutated graph: %w", err)
 	}
@@ -565,7 +565,7 @@ func dynamicCells(o Options, fam workload.Family, cfg Config, g *sling.Graph,
 	restored, restoreMS, err := timed(func() (*sling.DynamicIndex, error) {
 		return sling.RestoreDynamic(
 			&sling.DynamicOptions{DurableDir: durDir, DurableReadOnly: true},
-			sling.WithOptions(*opt))
+			opts...)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("restore after rebuild: %w", err)
@@ -596,7 +596,7 @@ func dynamicCells(o Options, fam workload.Family, cfg Config, g *sling.Graph,
 // fallback, so equality here proves the restored frontier, pool
 // seeding, and graph all match exactly.
 func restoredCell(o Options, fam workload.Family, cfg Config,
-	dx *sling.DynamicIndex, durDir string, opt *sling.Options) Cell {
+	dx *sling.DynamicIndex, durDir string, opts ...sling.BuildOption) Cell {
 
 	cell := Cell{
 		Family: fam.Name, Backend: "dynamic-restored-stale",
@@ -621,7 +621,7 @@ func restoredCell(o Options, fam workload.Family, cfg Config,
 	restored, restoreMS, err := timed(func() (*sling.DynamicIndex, error) {
 		return sling.RestoreDynamic(
 			&sling.DynamicOptions{DurableDir: durDir, DurableReadOnly: true},
-			sling.WithOptions(*opt))
+			opts...)
 	})
 	cell.BuildMS = restoreMS
 	if err != nil {

@@ -26,13 +26,13 @@ func contractBackends(t *testing.T) (n int, backends []Backend) {
 		b.AddEdge(e[0], e[1])
 	}
 	g := b.Build()
-	opt := &sling.Options{Eps: 0.1, Seed: 29}
-	set, err := NewStaticSet(g, opt, t.TempDir(), true)
+	opts := []sling.BuildOption{sling.WithEps(0.1), sling.WithSeed(29)}
+	set, err := NewStaticSet(g, t.TempDir(), true, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(set.Close)
-	dx, err := sling.NewDynamic(g, &sling.DynamicOptions{NumWalks: 16}, sling.WithOptions(*opt))
+	dx, err := sling.NewDynamic(g, &sling.DynamicOptions{NumWalks: 16}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,13 +23,13 @@ func edgeCaseSet(t *testing.T) (*sling.Graph, []Backend, func()) {
 	}
 	// Nodes 8 and 9 stay isolated.
 	g := b.Build()
-	opt := &sling.Options{Eps: 0.1, Seed: 11}
+	opts := []sling.BuildOption{sling.WithEps(0.1), sling.WithSeed(11)}
 
-	set, err := NewStaticSet(g, opt, t.TempDir(), true)
+	set, err := NewStaticSet(g, t.TempDir(), true, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dx, err := sling.NewDynamic(g, nil, sling.WithOptions(*opt))
+	dx, err := sling.NewDynamic(g, nil, opts...)
 	if err != nil {
 		set.Close()
 		t.Fatal(err)

@@ -33,21 +33,6 @@ func (c *countedErrCtx) Err() error {
 	return nil
 }
 
-func lateCancelFixture(t *testing.T) (*Index, []graph.NodeID, [][]float64) {
-	t.Helper()
-	g := randomGraph(30, 150, 3)
-	x, err := Build(g, &Options{Eps: 0.1, Seed: 3, Enhance: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	us := []graph.NodeID{4, 11}
-	want, err := x.SingleSourceBatch(nil, us, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return x, us, want
-}
-
 func assertRowsEqual(t *testing.T, got, want [][]float64) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -63,48 +48,40 @@ func assertRowsEqual(t *testing.T, got, want [][]float64) {
 }
 
 // TestBatchLateCancelCompletes: a ctx that only reports cancelled after
-// every source has been claimed must not fail the in-memory batch —
-// the work is done; discarding it buys nothing.
+// every source has been claimed must not fail the batch, on the memory
+// pool or the disk pool — the work is done; discarding it buys nothing.
 func TestBatchLateCancelCompletes(t *testing.T) {
-	x, us, want := lateCancelFixture(t)
-	ctx := &countedErrCtx{failAfter: int64(len(us))}
-	got, err := x.SingleSourceBatch(ctx, us, 2)
-	if err != nil {
-		t.Fatalf("late cancel discarded a completed batch: %v", err)
-	}
-	assertRowsEqual(t, got, want)
-
-	// Cancelled before any work: still an error.
-	if _, err := x.SingleSourceBatch(&countedErrCtx{failAfter: 0}, us, 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("early cancel returned %v, want context.Canceled", err)
-	}
-}
-
-// TestDiskBatchLateCancelCompletes is the disk-tier mirror of
-// TestBatchLateCancelCompletes.
-func TestDiskBatchLateCancelCompletes(t *testing.T) {
 	g := randomGraph(30, 150, 3)
-	_, path := saveTestIndex(t, g, &Options{Eps: 0.1, Seed: 3, Enhance: true})
+	x, path := saveTestIndex(t, g, &Options{Eps: 0.1, Seed: 3, Enhance: true})
 	d, err := OpenDiskIndex(path, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	p := d.NewScratchPool()
 	us := []graph.NodeID{4, 11}
-	want, err := p.SingleSourceBatch(nil, us, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name string
+		p    *ScratchPool
+	}{
+		{"memory", x.NewScratchPool()},
+		{"disk", d.NewScratchPool()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := tc.p.SingleSourceBatch(nil, us, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := &countedErrCtx{failAfter: int64(len(us))}
+			got, err := tc.p.SingleSourceBatch(ctx, us, 2)
+			if err != nil {
+				t.Fatalf("late cancel discarded a completed batch: %v", err)
+			}
+			assertRowsEqual(t, got, want)
 
-	ctx := &countedErrCtx{failAfter: int64(len(us))}
-	got, err := p.SingleSourceBatch(ctx, us, 2)
-	if err != nil {
-		t.Fatalf("late cancel discarded a completed batch: %v", err)
-	}
-	assertRowsEqual(t, got, want)
-
-	if _, err := p.SingleSourceBatch(&countedErrCtx{failAfter: 0}, us, 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("early cancel returned %v, want context.Canceled", err)
+			// Cancelled before any work: still an error.
+			if _, err := tc.p.SingleSourceBatch(&countedErrCtx{failAfter: 0}, us, 2); !errors.Is(err, context.Canceled) {
+				t.Fatalf("early cancel returned %v, want context.Canceled", err)
+			}
+		})
 	}
 }

@@ -377,8 +377,7 @@ func readMeta(r io.Reader, g *graph.Graph) (*Index, fileHeader, error) {
 	}
 	// Marks are positions into the owning node's stored entry range; an
 	// out-of-range mark would panic the Section 5.3 expansion at query
-	// time, so reject it at load like graph.ReadBinary does for edge
-	// targets.
+	// time, so reject it at load.
 	for v := 0; v < n; v++ {
 		cnt := x.off[v+1] - x.off[v]
 		for _, rel := range x.marks[x.markOff[v]:x.markOff[v+1]] {

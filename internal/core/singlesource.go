@@ -328,25 +328,6 @@ func (x *Index) forEachSource(ctx context.Context, count, workers int, fn func(i
 	return ForEach(ctx, count, workers, x.NewSourceScratch, fn)
 }
 
-// SingleSourceBatch answers one single-source query per source in us,
-// fanning the sources across workers goroutines (Options.Workers when
-// workers <= 0) with per-worker scratch. Row i equals
-// SingleSource(us[i], ...) exactly — per-source computation is untouched,
-// so batch results are byte-identical to serial execution. A cancelled
-// ctx (nil means never) stops the fan-out between sources and returns
-// ctx.Err().
-func (x *Index) SingleSourceBatch(ctx context.Context, us []graph.NodeID, workers int) ([][]float64, error) {
-	n := x.g.NumNodes()
-	out := make([][]float64, len(us))
-	if err := x.forEachSource(ctx, len(us), workers, func(i int, s *SourceScratch) error {
-		out[i] = x.SingleSource(us[i], s, make([]float64, n))
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // AllPairs materializes the full score matrix by running Algorithm 6 from
 // every node — the procedure behind the paper's accuracy experiments
 // (Figures 5-7) — parallel across Options.Workers. It needs O(n²) output

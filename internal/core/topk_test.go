@@ -118,8 +118,9 @@ func TestSingleSourceBatchMatchesSerial(t *testing.T) {
 	for i, u := range us {
 		serial[i] = x.SingleSource(u, ss, nil)
 	}
+	p := x.NewScratchPool()
 	for _, workers := range []int{1, 2, 3, 8, 64} {
-		batch, err := x.SingleSourceBatch(nil, us, workers)
+		batch, err := p.SingleSourceBatch(nil, us, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

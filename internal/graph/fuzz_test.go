@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -24,41 +23,4 @@ func FuzzReadEdgeList(f *testing.F) {
 			t.Fatalf("parsed graph fails validation: %v", err)
 		}
 	})
-}
-
-// FuzzReadBinary: arbitrary bytes must never panic the binary loader.
-func FuzzReadBinary(f *testing.F) {
-	g := triangle()
-	var buf bytes.Buffer
-	if err := g.WriteBinary(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add([]byte{})
-	f.Add([]byte("SLGR"))
-	f.Add(valid[:10])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadBinary(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("loaded graph fails validation: %v", err)
-		}
-	})
-}
-
-func TestReadBinaryTruncations(t *testing.T) {
-	g := randomGraph(t, 30, 120, 9)
-	var buf bytes.Buffer
-	if err := g.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
-	for cut := 0; cut < len(valid); cut += 5 {
-		if _, err := ReadBinary(bytes.NewReader(valid[:cut])); err == nil {
-			t.Fatalf("truncation at %d bytes accepted", cut)
-		}
-	}
 }

@@ -235,10 +235,6 @@ func (b *Builder) AddEdge(from, to NodeID) {
 	}
 }
 
-// NumPendingEdges returns the number of edges recorded so far
-// (after self-loop filtering and undirected doubling, before dedup).
-func (b *Builder) NumPendingEdges() int { return len(b.edges) }
-
 // Build finalizes the graph. The builder can be reused afterwards; its
 // accumulated edges are retained.
 func (b *Builder) Build() *Graph {

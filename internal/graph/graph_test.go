@@ -256,51 +256,6 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	g := randomGraph(t, 100, 600, 2)
-	var buf bytes.Buffer
-	if err := g.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumNodes() != g.NumNodes() || g2.NumEdges() != g.NumEdges() {
-		t.Fatalf("size mismatch after round trip")
-	}
-	g.Edges(func(from, to NodeID) bool {
-		if !g2.HasEdge(from, to) {
-			t.Fatalf("edge %d->%d lost", from, to)
-		}
-		return true
-	})
-}
-
-func TestBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(strings.NewReader("not a graph at all")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := ReadBinary(strings.NewReader("SLGR")); err == nil {
-		t.Fatal("truncated header accepted")
-	}
-}
-
-func TestBinaryFileRoundTrip(t *testing.T) {
-	g := triangle()
-	path := t.TempDir() + "/g.bin"
-	if err := g.SaveBinaryFile(path); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := LoadBinaryFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g2.NumEdges() != 3 {
-		t.Fatalf("m=%d", g2.NumEdges())
-	}
-}
-
 func randomGraph(t testing.TB, n, m int, seed uint64) *Graph {
 	t.Helper()
 	r := rng.New(seed)
@@ -391,43 +346,6 @@ func sameEdges(g *Graph, want map[Edge]int, multi bool) bool {
 		}
 	}
 	return true
-}
-
-// Property: binary round trip preserves the edge multiset.
-func TestPropertyBinaryRoundTrip(t *testing.T) {
-	f := func(seed uint64, nRaw, mRaw uint16) bool {
-		n := int(nRaw%100) + 1
-		m := int(mRaw % 500)
-		r := rng.New(seed)
-		b := NewBuilder(n)
-		for i := 0; i < m; i++ {
-			b.AddEdge(NodeID(r.Intn(n)), NodeID(r.Intn(n)))
-		}
-		g := b.Build()
-		var buf bytes.Buffer
-		if g.WriteBinary(&buf) != nil {
-			return false
-		}
-		g2, err := ReadBinary(&buf)
-		if err != nil {
-			return false
-		}
-		if g2.NumNodes() != g.NumNodes() || g2.NumEdges() != g.NumEdges() {
-			return false
-		}
-		match := true
-		g.Edges(func(from, to NodeID) bool {
-			if !g2.HasEdge(from, to) {
-				match = false
-				return false
-			}
-			return true
-		})
-		return match
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func BenchmarkBuild(b *testing.B) {

@@ -2,8 +2,6 @@ package graph
 
 import (
 	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -117,170 +115,4 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 		return firstErr
 	}
 	return bw.Flush()
-}
-
-// Binary format:
-//
-//	magic "SLGR" | version u32 | n u32 | m u64 | outOff (n+1)*u64 | outTo m*u32
-//
-// The in-CSR is rebuilt on load; it is fully determined by the out-CSR.
-const (
-	binaryMagic   = "SLGR"
-	binaryVersion = 1
-)
-
-// WriteBinary serializes the graph in the package's binary format.
-func (g *Graph) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	hdr := make([]byte, 16)
-	binary.LittleEndian.PutUint32(hdr[0:], binaryVersion)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(g.n))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(g.m))
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	buf := make([]byte, 8)
-	for _, off := range g.outOff {
-		binary.LittleEndian.PutUint64(buf, uint64(off))
-		if _, err := bw.Write(buf); err != nil {
-			return err
-		}
-	}
-	for _, to := range g.outTo {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(to))
-		if _, err := bw.Write(buf[:4]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary deserializes a graph written by WriteBinary and rebuilds the
-// in-CSR.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("graph: reading magic: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, errors.New("graph: bad magic; not a SLGR file")
-	}
-	hdr := make([]byte, 16)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("graph: reading header: %w", err)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[0:]); v != binaryVersion {
-		return nil, fmt.Errorf("graph: unsupported version %d", v)
-	}
-	n := int32(binary.LittleEndian.Uint32(hdr[4:]))
-	m := int64(binary.LittleEndian.Uint64(hdr[8:]))
-	if n < 0 || m < 0 {
-		return nil, errors.New("graph: negative sizes in header")
-	}
-	g := &Graph{n: n, m: m}
-	// Grow incrementally: a corrupt header claiming huge sizes must fail
-	// at EOF instead of exhausting memory on the allocation.
-	const chunk = 1 << 16
-	buf := make([]byte, 8*chunk)
-	g.outOff = make([]int64, 0, minI64(int64(n)+1, chunk))
-	for int64(len(g.outOff)) < int64(n)+1 {
-		want := int64(n) + 1 - int64(len(g.outOff))
-		if want > chunk {
-			want = chunk
-		}
-		if _, err := io.ReadFull(br, buf[:8*want]); err != nil {
-			return nil, fmt.Errorf("graph: reading offsets: %w", err)
-		}
-		for i := int64(0); i < want; i++ {
-			g.outOff = append(g.outOff, int64(binary.LittleEndian.Uint64(buf[8*i:])))
-		}
-	}
-	g.outTo = make([]int32, 0, minI64(m, chunk))
-	for int64(len(g.outTo)) < m {
-		want := m - int64(len(g.outTo))
-		if want > chunk {
-			want = chunk
-		}
-		if _, err := io.ReadFull(br, buf[:4*want]); err != nil {
-			return nil, fmt.Errorf("graph: reading edges: %w", err)
-		}
-		for i := int64(0); i < want; i++ {
-			g.outTo = append(g.outTo, int32(binary.LittleEndian.Uint32(buf[4*i:])))
-		}
-	}
-	// Offsets must be sane before rebuildInCSR indexes with them.
-	if g.outOff[0] != 0 || g.outOff[n] != m {
-		return nil, errors.New("graph: corrupt offset endpoints")
-	}
-	for v := int32(0); v < n; v++ {
-		if g.outOff[v] > g.outOff[v+1] {
-			return nil, errors.New("graph: non-monotone offsets")
-		}
-	}
-	for _, to := range g.outTo {
-		if to < 0 || to >= n {
-			return nil, errors.New("graph: edge target out of range")
-		}
-	}
-	g.rebuildInCSR()
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// rebuildInCSR reconstructs the in-CSR from the out-CSR.
-func (g *Graph) rebuildInCSR() {
-	g.inOff = make([]int64, g.n+1)
-	g.inFrom = make([]int32, g.m)
-	for v := int32(0); v < g.n; v++ {
-		for _, w := range g.OutNeighbors(v) {
-			g.inOff[w+1]++
-		}
-	}
-	for v := int32(0); v < g.n; v++ {
-		g.inOff[v+1] += g.inOff[v]
-	}
-	cursor := make([]int64, g.n)
-	copy(cursor, g.inOff[:g.n])
-	for v := int32(0); v < g.n; v++ {
-		for _, w := range g.OutNeighbors(v) {
-			g.inFrom[cursor[w]] = v
-			cursor[w]++
-		}
-	}
-}
-
-// SaveBinaryFile writes the graph to path in binary form.
-func (g *Graph) SaveBinaryFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := g.WriteBinary(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadBinaryFile reads a binary graph from path.
-func LoadBinaryFile(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadBinary(f)
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,7 +1,8 @@
 // Package metrics is a small, dependency-free instrumentation registry:
 // counters, gauges, and fixed-bucket histograms, each optionally labeled,
-// collected into either a typed snapshot (the /stats JSON view) or the
-// Prometheus text exposition format (GET /metrics).
+// rendered in the Prometheus text exposition format (GET /metrics). The
+// /stats JSON documents are typed views the server builds from its
+// backends, not from this registry.
 //
 // It exists so the serving stack has one observability surface instead of
 // hand-rolled per-mode stats closures: the in-memory index's size, the
@@ -261,48 +262,6 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 		bounds = LatencyBuckets
 	}
 	return r.lookup(name, help, kindHistogram, bounds, labels).h
-}
-
-// Point is one series in a Snapshot.
-type Point struct {
-	Name   string
-	Labels []Label
-	Kind   string
-	// Value carries the counter or gauge reading.
-	Value float64
-	// Count/Sum/P50/P99 carry histogram readings.
-	Count uint64
-	Sum   float64
-	P50   float64
-	P99   float64
-}
-
-// Snapshot returns every registered series with its current reading, in
-// registration order — the typed document /stats-style views are built
-// from.
-func (r *Registry) Snapshot() []Point {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []Point
-	for _, name := range r.order {
-		f := r.families[name]
-		for _, s := range f.series {
-			p := Point{Name: name, Labels: s.labels, Kind: string(f.kind)}
-			switch f.kind {
-			case kindCounter:
-				p.Value = float64(s.c.Value())
-			case kindGauge:
-				p.Value = s.g.Value()
-			case kindHistogram:
-				p.Count = s.h.Count()
-				p.Sum = s.h.Sum()
-				p.P50 = s.h.Quantile(0.50)
-				p.P99 = s.h.Quantile(0.99)
-			}
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // labelString renders {k="v",...} for the exposition format, with extra

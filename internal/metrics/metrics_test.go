@@ -31,15 +31,12 @@ func TestCounterAndGauge(t *testing.T) {
 		t.Fatalf("gauge = %v", g.Value())
 	}
 	r.GaugeFunc("epoch", "epoch", func() float64 { return 7 })
-	snap := r.Snapshot()
-	found := false
-	for _, p := range snap {
-		if p.Name == "epoch" && p.Value == 7 {
-			found = true
-		}
+	var buf strings.Builder
+	if err := r.WriteText(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if !found {
-		t.Fatalf("gauge func not collected: %+v", snap)
+	if !strings.Contains(buf.String(), "\nepoch 7\n") {
+		t.Fatalf("gauge func not collected:\n%s", buf.String())
 	}
 }
 

@@ -91,14 +91,6 @@ func (r *Source) Intn(n int) int {
 	return int(r.Uint64n(uint64(n)))
 }
 
-// Int32n returns a uniform int32 in [0, n). It panics if n <= 0.
-func (r *Source) Int32n(n int32) int32 {
-	if n <= 0 {
-		panic("rng: Int32n with non-positive n")
-	}
-	return int32(r.Uint64n(uint64(n)))
-}
-
 // Uint64n returns a uniform uint64 in [0, n) using Lemire's multiply-shift
 // rejection method. It panics if n == 0.
 func (r *Source) Uint64n(n uint64) uint64 {

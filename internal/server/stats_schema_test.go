@@ -135,8 +135,8 @@ func TestStatsSchemaPerMode(t *testing.T) {
 		b.AddEdge(sling.NodeID(r.Intn(n)), sling.NodeID(r.Intn(n)))
 	}
 	g := b.Build()
-	opt := &sling.Options{Eps: 0.1, Seed: 13}
-	ix, err := sling.Build(g, sling.WithOptions(*opt))
+	opts := []sling.BuildOption{sling.WithEps(0.1), sling.WithSeed(13)}
+	ix, err := sling.Build(g, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestStatsSchemaPerMode(t *testing.T) {
 			return s
 		}},
 		{"dynamic", "dynamic", dynamicStatsSchema, func(t *testing.T) *Server {
-			dx, err := sling.NewDynamic(g, &sling.DynamicOptions{NumWalks: 32}, sling.WithOptions(*opt))
+			dx, err := sling.NewDynamic(g, &sling.DynamicOptions{NumWalks: 32}, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +185,7 @@ func TestStatsSchemaPerMode(t *testing.T) {
 		{"dynamic-durable", "dynamic", dynamicDurableStatsSchema, func(t *testing.T) *Server {
 			dx, err := sling.NewDynamic(g,
 				&sling.DynamicOptions{NumWalks: 32, DurableDir: t.TempDir(), DurableNoSync: true},
-				sling.WithOptions(*opt))
+				opts...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"sling"
@@ -417,14 +418,8 @@ func TestShardedMetricsAndMeta(t *testing.T) {
 			t.Fatalf("shard %d (owner %d) recorded %d calls, want %d", i, owner, got, want)
 		}
 	}
-	found := 0
-	for _, p := range reg.Snapshot() {
-		if p.Name == MetricFanout {
-			found++
-		}
-	}
-	if found == 0 {
-		t.Fatalf("registry snapshot has no %s series", MetricFanout)
+	if !slices.Contains(reg.Names(), MetricFanout+" histogram") {
+		t.Fatalf("registry has no %s histogram: %v", MetricFanout, reg.Names())
 	}
 	m := q.Meta()
 	if m.Name != "sharded" || m.Nodes != 60 || m.C != ix.C() || m.Eps != ix.ErrorBound() || m.Bytes <= 0 {

@@ -31,7 +31,7 @@
 // with functional options (WithEps, WithWorkers, ...).
 //
 // The index is safe for concurrent queries. See the examples directory
-// for larger scenarios, and the README's "Measuring throughput" and
+// for larger scenarios, and the README's "Measuring performance" and
 // "Correctness & conformance" sections for how this implementation
 // reproduces the paper's evaluation.
 package sling
@@ -67,7 +67,7 @@ type GraphBuilder = graph.Builder
 // δ_d = 1/n²).
 //
 // Deprecated: pass functional options (WithEps, WithWorkers, ...) to
-// Build instead; an assembled Options value is applied with WithOptions.
+// Build instead.
 type Options = core.Options
 
 // BuildStats reports preprocessing work (walk pairs drawn, local-update

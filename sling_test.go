@@ -285,15 +285,16 @@ func TestPreCancelledContext(t *testing.T) {
 	}
 }
 
-// Meta must describe each backend consistently.
+// Meta must describe each backend consistently, with the build options'
+// c.
 func TestQuerierMeta(t *testing.T) {
 	g := testGraph(15, 60, 84)
-	ix, err := Build(g, WithEps(0.1), WithSeed(85))
+	ix, err := Build(g, WithC(0.7), WithEps(0.1), WithSeed(85))
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := ix.Meta()
-	if m.Name != "memory" || m.Nodes != 15 || m.C != ix.C() || m.Eps != ix.ErrorBound() || m.Clamped || m.Epoch != 0 {
+	if m.Name != "memory" || m.Nodes != 15 || m.C != 0.7 || ix.C() != 0.7 || m.Eps != ix.ErrorBound() || m.Clamped || m.Epoch != 0 {
 		t.Fatalf("memory meta wrong: %+v", m)
 	}
 	path := t.TempDir() + "/meta.sling"
@@ -323,30 +324,6 @@ func TestQuerierMeta(t *testing.T) {
 	}
 	if got := dx.Meta().Epoch; got != 2 {
 		t.Fatalf("epoch after rebuild = %d, want 2", got)
-	}
-}
-
-// Functional options must configure the same build the legacy Options
-// struct did: same seed and knobs, bitwise-identical index.
-func TestBuildOptionEquivalence(t *testing.T) {
-	g := testGraph(30, 150, 86)
-	viaOpts, err := Build(g, WithC(0.7), WithEps(0.08), WithSeed(87), WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaStruct, err := Build(g, WithOptions(Options{C: 0.7, Eps: 0.08, Seed: 87, Workers: 2}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := NodeID(0); i < 30; i += 2 {
-		for j := NodeID(0); j < 30; j += 3 {
-			if mustPair(t, viaOpts, i, j) != mustPair(t, viaStruct, i, j) {
-				t.Fatalf("option styles disagree at (%d,%d)", i, j)
-			}
-		}
-	}
-	if viaOpts.C() != 0.7 {
-		t.Fatalf("WithC ignored: c = %v", viaOpts.C())
 	}
 }
 
