@@ -175,14 +175,37 @@ func BenchmarkFig2SingleSourceMC(b *testing.B) {
 
 // ---- Figure 3: preprocessing time ----
 
-func BenchmarkFig3PreprocessSLING(b *testing.B) {
-	s := setup(b, "GrQc")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Build(s.g, &core.Options{Eps: benchEps, Seed: uint64(i)}); err != nil {
-			b.Fatal(err)
-		}
+// benchBuilds times core.BuildWithStats with the options opts gives
+// iteration i, on an undirected stand-in (GrQc), where nearly every
+// node's walks meet and d̃ is sampled, and a directed one (Wiki-Vote),
+// where the walk-meeting bound settles many nodes. It reports the
+// √c-walk pairs and bound pushes of a build.
+func benchBuilds(b *testing.B, opts func(i int) core.Options) {
+	for _, ds := range []string{"GrQc", "Wiki-Vote"} {
+		b.Run(ds, func(b *testing.B) {
+			// Only the graph: setup's linearize and MC indexes are not
+			// needed to time a SLING build.
+			spec, _ := workload.ByName(ds)
+			g := spec.Generate(1)
+			var pairs, pushes int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o := opts(i)
+				_, st, err := core.BuildWithStats(g, &o)
+				if err != nil {
+					b.Fatal(err)
+				}
+				pairs += st.WalkPairs
+				pushes += st.BoundPushes
+			}
+			b.ReportMetric(float64(pairs)/float64(b.N), "walk-pairs/op")
+			b.ReportMetric(float64(pushes)/float64(b.N), "bound-pushes/op")
+		})
 	}
+}
+
+func BenchmarkFig3PreprocessSLING(b *testing.B) {
+	benchBuilds(b, func(i int) core.Options { return core.Options{Eps: benchEps, Seed: uint64(i)} })
 }
 
 func BenchmarkFig3PreprocessLinearize(b *testing.B) {
@@ -264,23 +287,11 @@ func BenchmarkFig10OutOfCore(b *testing.B) {
 // ---- Ablations (Section 5 design choices) ----
 
 func BenchmarkAblationDEstimatorBasic(b *testing.B) {
-	s := setup(b, "GrQc")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Build(s.g, &core.Options{Eps: benchEps, Seed: 1, BasicEstimator: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchBuilds(b, func(int) core.Options { return core.Options{Eps: benchEps, Seed: 1, BasicEstimator: true} })
 }
 
 func BenchmarkAblationDEstimatorAdaptive(b *testing.B) {
-	s := setup(b, "GrQc")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Build(s.g, &core.Options{Eps: benchEps, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchBuilds(b, func(int) core.Options { return core.Options{Eps: benchEps, Seed: 1} })
 }
 
 func BenchmarkAblationSpaceReduction(b *testing.B) {

@@ -649,9 +649,9 @@ func runAblation() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("d-estimation walk pairs:  Alg1 (basic) %d   Alg4 (adaptive) %d   saving %.1fx\n",
+		fmt.Printf("d-estimation walk pairs:  Alg1 (basic) %d   Alg4 (adaptive) %d   saving %.1fx   bound pushes %d\n",
 			stBasic.WalkPairs, stAdaptive.WalkPairs,
-			float64(stBasic.WalkPairs)/float64(stAdaptive.WalkPairs))
+			float64(stBasic.WalkPairs)/float64(stAdaptive.WalkPairs), stAdaptive.BoundPushes)
 
 		// 5.2: space reduction on/off.
 		full, err := core.Build(g, &core.Options{Eps: 0.05, Seed: *seedFlag, DisableSpaceReduction: true})
@@ -830,7 +830,6 @@ func runDiskQPS() error {
 				fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%s\t%.0f\t%.2fx\t%.3f\n",
 					spec.Name, backend, th, total, fmtDur(elapsed),
 					float64(total)/elapsed.Seconds(), float64(serial)/float64(elapsed), apo)
-				w.Flush()
 				rows = append(rows, diskQPSRow{
 					Dataset:     spec.Name,
 					Backend:     backend,
@@ -843,6 +842,8 @@ func runDiskQPS() error {
 			}
 			d.Close()
 		}
+		// One flush per dataset, so its rows share one alignment.
+		w.Flush()
 		os.RemoveAll(dir)
 	}
 	fmt.Println()

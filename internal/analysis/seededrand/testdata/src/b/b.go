@@ -7,6 +7,8 @@ import "sling/internal/rng"
 func Shuffled(n int) []int {
 	r := rng.New(1)
 	out := make([]int, n)
-	r.Perm(out)
+	for i := range out {
+		out[i] = r.Intn(n)
+	}
 	return out
 }

@@ -12,10 +12,11 @@ import (
 
 // BuildStats reports work done during preprocessing.
 type BuildStats struct {
-	WalkPairs int64 // √c-walk pairs drawn for correction factors
-	HPPushes  int64 // local-update pushes of Algorithm 2
-	Entries   int   // HP entries kept before space reduction
-	Dropped   int   // entries removed by the Section 5.2 reduction
+	WalkPairs   int64 // √c-walk pairs drawn for correction factors
+	BoundPushes int64 // pushes of the walk-meeting bound tried before sampling
+	HPPushes    int64 // local-update pushes of Algorithm 2
+	Entries     int   // HP entries kept before space reduction
+	Dropped     int   // entries removed by the Section 5.2 reduction
 }
 
 // Build constructs a SLING index over g. See Options for knobs; the zero
@@ -40,8 +41,9 @@ func BuildWithStats(g *graph.Graph, o *Options) (*Index, BuildStats, error) {
 		return x, st, nil
 	}
 
-	// Phase 1: estimate every d̃_k (Algorithm 1 or 4).
-	st.WalkPairs = estimateAllD(g, prm, x.d)
+	// Phase 1: estimate every d̃_k (the walk-meeting bound, then
+	// Algorithm 1 or 4 where it does not certify).
+	st.WalkPairs, st.BoundPushes = estimateAllD(g, prm, x.d)
 
 	// Phase 2: the local-update pass of Algorithm 2 for every target k,
 	// parallel over k (Section 5.4). ForEach hands out one k at a time,

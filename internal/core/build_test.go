@@ -45,7 +45,7 @@ func TestBuildGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("hash recorded on amd64; other targets may fuse multiply-adds")
 	}
-	const want = "c0d5181032a3ec77882f74c8e910c9dcae3f37d0f0898642ea245f96b245429d"
+	const want = "ba1549540a46c44e113f5030378e1ef9849f9c64f4e29c4950c480362fdcd063"
 	spec, ok := workload.ByName("Wiki-Vote")
 	if !ok {
 		t.Fatal("no Wiki-Vote stand-in")

@@ -7,8 +7,6 @@ import (
 
 	"sling/internal/extsort"
 	"sling/internal/graph"
-	"sling/internal/rng"
-	"sling/internal/walk"
 )
 
 // Out-of-core index construction (Section 5.4 of the paper).
@@ -124,22 +122,26 @@ func BuildOutOfCore(g *graph.Graph, o *Options, oo OutOfCoreOptions) (*Index, er
 	return x, nil
 }
 
-// estimateAllD fills d with d̃_k for every node k (Algorithm 1 or 4) and
-// returns the √c-walk pairs drawn. It is phase 1 of both Build and
-// BuildOutOfCore: parallel over k through ForEach, which hands out one k
-// at a time, so the costly nodes, which cluster at low IDs on a
-// power-law graph, do not leave a worker idle. Sampling for node k is
-// seeded by (Seed, k) alone, so d is identical at any worker count.
-func estimateAllD(g *graph.Graph, prm resolved, d []float64) int64 {
-	var pairs atomic.Int64
+// estimateAllD fills d with d̃_k for every node k (Algorithm 1 or 4
+// behind the walk-meeting bound) and returns the √c-walk pairs drawn and
+// the bound's pushes. It is phase 1 of both Build and BuildOutOfCore:
+// parallel over k through ForEach, which hands out one k at a time, so
+// the costly nodes, which cluster at low IDs on a power-law graph, do not
+// leave a worker idle; each worker keeps one dScratch. The bound is
+// deterministic and sampling for node k is seeded by (Seed, k) alone, so
+// d is identical at any worker count.
+func estimateAllD(g *graph.Graph, prm resolved, d []float64) (pairs, pushes int64) {
+	var nPairs, nPushes atomic.Int64
+	n := g.NumNodes()
+	newScratch := func() *dScratch { return newDScratch(n) }
 	// fn never fails and the context is never cancelled, so neither can
 	// ForEach.
-	_ = ForEach(context.TODO(), g.NumNodes(), prm.workers, nil, func(k int, _ struct{}) error {
-		wk := walk.New(g, prm.c, rng.New(rng.MixSeed(prm.seed, k)))
-		dk, p := estimateD(g, wk, graph.NodeID(k), prm)
+	_ = ForEach(context.TODO(), n, prm.workers, newScratch, func(k int, s *dScratch) error {
+		dk, p, q := estimateD(g, graph.NodeID(k), prm, s)
 		d[k] = dk
-		pairs.Add(int64(p))
+		nPairs.Add(int64(p))
+		nPushes.Add(int64(q))
 		return nil
 	})
-	return pairs.Load()
+	return nPairs.Load(), nPushes.Load()
 }

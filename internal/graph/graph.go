@@ -195,23 +195,19 @@ func edgeHash(u, v int32) uint64 {
 type Builder struct {
 	n          int32
 	edges      []Edge
-	dedup      bool
 	selfLoops  bool
 	undirected bool
 }
 
-// NewBuilder returns a Builder for a graph with n nodes.
-// By default duplicate edges are removed and self-loops are kept.
+// NewBuilder returns a Builder for a graph with n nodes. Duplicate edges
+// are removed, as SimRank's definition uses neighbor sets; self-loops
+// are kept unless DropSelfLoops is set.
 func NewBuilder(n int) *Builder {
 	if n < 0 {
 		panic("graph: negative node count")
 	}
-	return &Builder{n: int32(n), dedup: true, selfLoops: true}
+	return &Builder{n: int32(n), selfLoops: true}
 }
-
-// KeepDuplicates makes the builder retain parallel edges.
-// SimRank's definition uses neighbor sets, so the default removes them.
-func (b *Builder) KeepDuplicates() *Builder { b.dedup = false; return b }
 
 // DropSelfLoops makes the builder discard u->u edges.
 func (b *Builder) DropSelfLoops() *Builder { b.selfLoops = false; return b }
@@ -248,9 +244,7 @@ func (b *Builder) Build() *Graph {
 		keys[i] = uint64(e.From)<<32 | uint64(e.To)
 	}
 	slices.Sort(keys)
-	if b.dedup {
-		keys = slices.Compact(keys)
-	}
+	keys = slices.Compact(keys)
 	from := func(k uint64) NodeID { return NodeID(k >> 32) }
 	to := func(k uint64) NodeID { return NodeID(uint32(k)) }
 
@@ -295,39 +289,4 @@ func FromEdges(n int, edges []Edge) *Graph {
 		b.AddEdge(e.From, e.To)
 	}
 	return b.Build()
-}
-
-// Reverse returns the transpose graph (every edge flipped). The result
-// shares no storage with g.
-func (g *Graph) Reverse() *Graph {
-	rev := &Graph{n: g.n, m: g.m}
-	rev.outOff = append([]int64(nil), g.inOff...)
-	rev.outTo = append([]int32(nil), g.inFrom...)
-	rev.inOff = append([]int64(nil), g.outOff...)
-	rev.inFrom = append([]int32(nil), g.outTo...)
-	return rev
-}
-
-// InducedSubgraph returns the subgraph induced by keep (a set of node IDs)
-// with nodes renumbered densely in the order given, plus the mapping from
-// new IDs back to original IDs.
-func (g *Graph) InducedSubgraph(keep []NodeID) (*Graph, []NodeID) {
-	newID := make(map[NodeID]NodeID, len(keep))
-	mapping := make([]NodeID, 0, len(keep))
-	for _, v := range keep {
-		if _, dup := newID[v]; dup {
-			continue
-		}
-		newID[v] = NodeID(len(mapping))
-		mapping = append(mapping, v)
-	}
-	b := NewBuilder(len(mapping))
-	for _, v := range mapping {
-		for _, w := range g.OutNeighbors(v) {
-			if nw, ok := newID[w]; ok {
-				b.AddEdge(newID[v], nw)
-			}
-		}
-	}
-	return b.Build(), mapping
 }

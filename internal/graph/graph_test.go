@@ -67,17 +67,6 @@ func TestDedupDefault(t *testing.T) {
 	}
 }
 
-func TestKeepDuplicates(t *testing.T) {
-	b := NewBuilder(2).KeepDuplicates()
-	for i := 0; i < 5; i++ {
-		b.AddEdge(0, 1)
-	}
-	g := b.Build()
-	if g.NumEdges() != 5 {
-		t.Fatalf("KeepDuplicates kept %d edges, want 5", g.NumEdges())
-	}
-}
-
 func TestDropSelfLoops(t *testing.T) {
 	b := NewBuilder(2).DropSelfLoops()
 	b.AddEdge(0, 0)
@@ -101,12 +90,13 @@ func TestUndirectedBuilder(t *testing.T) {
 	}
 }
 
+// Build's dedup would hide a doubled self-loop, so check the recorded
+// edges.
 func TestUndirectedSelfLoopNotDoubled(t *testing.T) {
-	b := NewBuilder(1).Undirected().KeepDuplicates()
+	b := NewBuilder(1).Undirected()
 	b.AddEdge(0, 0)
-	g := b.Build()
-	if g.NumEdges() != 1 {
-		t.Fatalf("self-loop doubled under Undirected: m=%d", g.NumEdges())
+	if len(b.edges) != 1 {
+		t.Fatalf("self-loop doubled under Undirected: %d edges recorded", len(b.edges))
 	}
 }
 
@@ -140,54 +130,6 @@ func TestStats(t *testing.T) {
 	}
 	if s.Sinks != 1 {
 		t.Fatalf("Sinks = %d, want 1", s.Sinks)
-	}
-}
-
-func TestReverse(t *testing.T) {
-	g := triangle()
-	r := g.Reverse()
-	if err := r.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	g.Edges(func(from, to NodeID) bool {
-		if !r.HasEdge(to, from) {
-			t.Fatalf("reverse missing %d->%d", to, from)
-		}
-		return true
-	})
-	if r.NumEdges() != g.NumEdges() {
-		t.Fatal("reverse changed edge count")
-	}
-}
-
-func TestInducedSubgraph(t *testing.T) {
-	b := NewBuilder(5)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(2, 3)
-	b.AddEdge(3, 4)
-	b.AddEdge(4, 0)
-	g := b.Build()
-	sub, mapping := g.InducedSubgraph([]NodeID{1, 2, 3})
-	if sub.NumNodes() != 3 {
-		t.Fatalf("sub n=%d", sub.NumNodes())
-	}
-	if sub.NumEdges() != 2 { // 1->2 and 2->3
-		t.Fatalf("sub m=%d", sub.NumEdges())
-	}
-	if mapping[0] != 1 || mapping[1] != 2 || mapping[2] != 3 {
-		t.Fatalf("mapping = %v", mapping)
-	}
-	if err := sub.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestInducedSubgraphDedupsKeepList(t *testing.T) {
-	g := triangle()
-	sub, mapping := g.InducedSubgraph([]NodeID{0, 0, 1})
-	if sub.NumNodes() != 2 || len(mapping) != 2 {
-		t.Fatalf("dup keep list not collapsed: n=%d", sub.NumNodes())
 	}
 }
 
@@ -277,22 +219,15 @@ func TestPropertyCSRTranspose(t *testing.T) {
 		m := int(mRaw % 1000)
 		r := rng.New(seed)
 		b := NewBuilder(n)
-		dup := NewBuilder(n).KeepDuplicates()
-		added := map[Edge]int{}
+		added := map[Edge]bool{}
 		for i := 0; i < m; i++ {
 			e := Edge{NodeID(r.Intn(n)), NodeID(r.Intn(n))}
 			b.AddEdge(e.From, e.To)
-			dup.AddEdge(e.From, e.To)
-			added[e]++
+			added[e] = true
 		}
 		g := b.Build()
-		if g.Validate() != nil {
-			return false
-		}
-		// The built edges are the distinct input edges, and under
-		// KeepDuplicates the input multiset.
-		gd := dup.Build()
-		if gd.Validate() != nil || !sameEdges(g, added, false) || !sameEdges(gd, added, true) {
+		// The built edges are the distinct input edges.
+		if g.Validate() != nil || !sameEdges(g, added) {
 			return false
 		}
 		inSum, outSum := 0, 0
@@ -327,8 +262,8 @@ func TestPropertyCSRTranspose(t *testing.T) {
 }
 
 // sameEdges reports whether g's edges are exactly the keys of want, each
-// once, or with want's multiplicity when multi is set.
-func sameEdges(g *Graph, want map[Edge]int, multi bool) bool {
+// once.
+func sameEdges(g *Graph, want map[Edge]bool) bool {
 	got := map[Edge]int{}
 	g.Edges(func(from, to NodeID) bool {
 		got[Edge{from, to}]++
@@ -337,11 +272,8 @@ func sameEdges(g *Graph, want map[Edge]int, multi bool) bool {
 	if len(got) != len(want) {
 		return false
 	}
-	for e, c := range want {
-		if !multi {
-			c = 1
-		}
-		if got[e] != c {
+	for e := range want {
+		if got[e] != 1 {
 			return false
 		}
 	}

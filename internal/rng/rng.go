@@ -10,10 +10,7 @@
 // seed.
 package rng
 
-import (
-	"math"
-	"math/bits"
-)
+import "math/bits"
 
 // Source is a deterministic xoshiro256** generator.
 // The zero value is not valid; use New.
@@ -120,42 +117,4 @@ func (r *Source) Bernoulli(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
-}
-
-// Geometric returns a sample from the geometric distribution with success
-// probability p, counting the number of failures before the first success
-// (support {0, 1, 2, ...}). It panics unless 0 < p <= 1.
-func (r *Source) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
-		panic("rng: Geometric requires 0 < p <= 1")
-	}
-	//slingvet:ignore floateq exact sentinel check: p==1 means certain success and log1p(-p) would be -Inf
-	if p == 1 {
-		return 0
-	}
-	// Inversion: floor(log(U)/log(1-p)).
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return int(math.Log(u) / math.Log1p(-p))
-}
-
-// Perm fills out with a uniform random permutation of [0, len(out)).
-func (r *Source) Perm(out []int) {
-	for i := range out {
-		out[i] = i
-	}
-	for i := len(out) - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		out[i], out[j] = out[j], out[i]
-	}
-}
-
-// Shuffle randomizes the order of n elements using the provided swap func.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }

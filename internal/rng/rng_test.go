@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -141,66 +140,6 @@ func TestBernoulliMean(t *testing.T) {
 	got := float64(hits) / n
 	if math.Abs(got-p) > 0.01 {
 		t.Fatalf("Bernoulli(%v) empirical rate %v", p, got)
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	r := New(29)
-	const p, n = 0.25, 100000
-	sum := 0
-	for i := 0; i < n; i++ {
-		sum += r.Geometric(p)
-	}
-	got := float64(sum) / n
-	want := (1 - p) / p // mean of failures-before-success geometric
-	if math.Abs(got-want) > 0.1 {
-		t.Fatalf("Geometric(%v) mean %v, want about %v", p, got, want)
-	}
-}
-
-func TestGeometricOne(t *testing.T) {
-	r := New(31)
-	for i := 0; i < 100; i++ {
-		if r.Geometric(1) != 0 {
-			t.Fatal("Geometric(1) must be 0")
-		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := New(37)
-	f := func(nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		out := make([]int, n)
-		r.Perm(out)
-		seen := make([]bool, n)
-		for _, v := range out {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestShuffleKeepsMultiset(t *testing.T) {
-	r := New(41)
-	s := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range s {
-		sum += v
-	}
-	r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-	got := 0
-	for _, v := range s {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed content: sum %d != %d", got, sum)
 	}
 }
 
