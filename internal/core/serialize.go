@@ -9,6 +9,8 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
+	"runtime/debug"
 	"slices"
 
 	"sling/internal/atomicio"
@@ -462,16 +464,25 @@ func readEntries(r io.Reader, x *Index, fh fileHeader, keep bool) error {
 
 // readColumn reads count little-endian 32-bit words from r in bounded
 // chunks, hands each chunk's bytes and the index of its first word to
-// fn, and then checks the column's CRC-32C against sum.
+// fn, and then checks the column's CRC-32C against sum. A byteReader's
+// chunks are handed over in place.
 func readColumn(r io.Reader, count int64, sum uint32, what string, fn func(int64, []byte) error) error {
 	const chunk = 1 << 14
-	buf := make([]byte, 4*min64(count, chunk))
+	var buf []byte
 	crc := uint32(0)
 	for i := int64(0); i < count; {
 		want := min64(count-i, chunk)
-		raw := buf[:4*want]
-		if _, err := io.ReadFull(r, raw); err != nil {
-			return corrupt("reading entry %s: %w", what, err)
+		var raw []byte
+		if br, ok := r.(*byteReader); ok && int64(len(br.b)) >= 4*want {
+			raw, br.b = br.b[:4*want], br.b[4*want:]
+		} else {
+			if buf == nil {
+				buf = make([]byte, 4*min64(count, chunk))
+			}
+			raw = buf[:4*want]
+			if _, err := io.ReadFull(r, raw); err != nil {
+				return corrupt("reading entry %s: %w", what, err)
+			}
 		}
 		crc = crc32.Update(crc, castagnoli, raw)
 		if err := fn(i, raw); err != nil {
@@ -600,27 +611,11 @@ type DiskIndex struct {
 	mvals  []float32
 }
 
-// openDiskFile opens path and returns the checked (ReadAt-mode)
-// DiskIndex over it.
-func openDiskFile(path string, g *graph.Graph) (*DiskIndex, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	d, err := checkDiskFile(f, g)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return d, nil
-}
-
-// checkDiskFile verifies f in one sequential pass, readMeta and then
-// readEntries without keeping the columns, so only the O(n) metadata
-// stays resident.
-func checkDiskFile(f *os.File, g *graph.Graph) (*DiskIndex, error) {
-	br := bufio.NewReaderSize(f, readBuffer)
-	meta, fh, err := readMeta(br, g)
+// checkDiskFile verifies the SLIX stream r of file f in one sequential
+// pass, readMeta and then readEntries without keeping the columns, so
+// only the O(n) metadata stays resident.
+func checkDiskFile(f *os.File, r io.Reader, g *graph.Graph) (*DiskIndex, error) {
+	meta, fh, err := readMeta(r, g)
 	if err != nil {
 		return nil, err
 	}
@@ -635,7 +630,7 @@ func checkDiskFile(f *os.File, g *graph.Graph) (*DiskIndex, error) {
 	if want := fh.entriesOff + 8*fh.numEntries; st.Size() != want {
 		return nil, corrupt("index file size %d does not match header (want %d)", st.Size(), want)
 	}
-	if err := readEntries(br, meta, fh, false); err != nil {
+	if err := readEntries(r, meta, fh, false); err != nil {
 		return nil, err
 	}
 	return &DiskIndex{
@@ -650,40 +645,101 @@ func checkDiskFile(f *os.File, g *graph.Graph) (*DiskIndex, error) {
 // OpenDiskIndex memory-maps nothing and loads only metadata from path;
 // queries fetch entries with positioned reads.
 func OpenDiskIndex(path string, g *graph.Graph) (*DiskIndex, error) {
-	return openDiskFile(path, g)
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	d, err := checkDiskFile(f, bufio.NewReaderSize(f, readBuffer), g)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return d, nil
 }
 
 // OpenDiskIndexMmap opens path like OpenDiskIndex but maps the file
 // and serves the entries regions as typed views: a fetch widens a slice
 // of the mapping and the OS page cache is the only cache. It runs the
-// same open pass as OpenDiskIndex before mapping, so every input the
-// ReadAt loader rejects is rejected here too. On platforms or byte
+// same open pass as OpenDiskIndex over the mapped bytes, so every input
+// the ReadAt loader rejects is rejected here too. On platforms or byte
 // orders where the reinterpretation is invalid it fails with
 // ErrMmapUnsupported and the caller falls back to OpenDiskIndex.
 func OpenDiskIndexMmap(path string, g *graph.Graph) (*DiskIndex, error) {
-	d, err := openDiskFile(path, g)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	mm, err := mmap.Open(d.f, d.valsOff+4*d.numEntries)
+	d, err := mapDiskFile(f, g)
 	if err != nil {
-		d.f.Close()
+		f.Close()
 		return nil, err
 	}
+	return d, nil
+}
+
+// mapDiskFile maps all of f and checks it as checkDiskFile does, with
+// the entry columns read in place, under the fault guard of a fetch.
+func mapDiskFile(f *os.File, g *graph.Graph) (d *DiskIndex, err error) {
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	mm, err := mmap.Open(f, st.Size())
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if err != nil {
+			mm.Close()
+		}
+	}()
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			d, err = nil, mappedFault(r, mm, "opening the mapped index")
+		}
+	}()
 	data := mm.Bytes()
-	mkeys, err := mmap.U32(data[d.entriesOff:d.valsOff])
-	if err == nil {
+	if d, err = checkDiskFile(f, &byteReader{data}, g); err != nil {
+		return nil, err
+	}
+	if d.mkeys, err = mmap.U32(data[d.entriesOff:d.valsOff]); err == nil {
 		d.mvals, err = mmap.F32(data[d.valsOff : d.valsOff+4*d.numEntries])
 	}
 	if err != nil {
-		mm.Close()
-		d.f.Close()
 		return nil, fmt.Errorf("core: mapping entries region: %w", err)
 	}
-	d.mkeys = mkeys
 	d.mm = mm
 	d.mapped = true
 	return d, nil
+}
+
+// byteReader reads bytes already in memory, the mapped file; readColumn
+// takes its chunks from it in place rather than copying them.
+type byteReader struct{ b []byte }
+
+func (r *byteReader) Read(p []byte) (int, error) {
+	if len(r.b) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.b)
+	r.b = r.b[n:]
+	return n, nil
+}
+
+// mappedFault turns a panic recovered while reading mapping m into an
+// error wrapping ErrCorrupt when it is a memory fault inside m, which
+// only a file shrinking under its mapping causes, and re-panics any
+// other.
+func mappedFault(r any, m *mmap.Mapping, what string) error {
+	f, ok := r.(interface {
+		runtime.Error
+		Addr() uintptr
+	})
+	if !ok || !m.Contains(f.Addr()) {
+		panic(r)
+	}
+	return corrupt("%s: %v (file truncated after open)", what, r)
 }
 
 // Mapped reports whether the index serves from a memory mapping rather
@@ -717,15 +773,15 @@ type DiskScratch = Scratch
 func (d *DiskIndex) NewScratch() *Scratch { return d.meta.NewScratch() }
 
 // entries implements entrySource. In mapped mode it widens a slice of
-// the typed views, with no read and no allocation. Otherwise it reads
-// the keys and vals ranges with two positioned reads of 4·cnt bytes and
-// decodes them into the same widened form; a read error is the only
-// error any query can return.
+// the typed views, with no read and no allocation (mappedEntries).
+// Otherwise it reads the keys and vals ranges with two positioned reads
+// of 4·cnt bytes and decodes them into the same widened form. A read
+// error, or a mapped range the file no longer holds, is the only error
+// any query can return.
 func (d *DiskIndex) entries(v graph.NodeID, s *Scratch, slot int) ([]uint64, []float64, error) {
 	lo, hi := d.meta.off[v], d.meta.off[v+1]
 	if d.mapped {
-		k, val := d.meta.widen(d.mkeys[lo:hi], d.mvals[lo:hi], s, slot)
-		return k, val, nil
+		return d.mappedEntries(v, lo, hi, s, slot)
 	}
 	cnt := int(hi - lo)
 	need := cnt * 8
@@ -750,5 +806,26 @@ func (d *DiskIndex) entries(v graph.NodeID, s *Scratch, slot int) ([]uint64, []f
 		val[i] = float64(math.Float32frombits(le.Uint32(raw[4*(cnt+i):])))
 	}
 	s.fk[slot], s.fv[slot] = k, val
+	return k, val, nil
+}
+
+// mappedEntries widens entries lo..hi of the mapped views. The file may
+// have been truncated since it was mapped: a page wholly past its new
+// end faults, and the part of a page past it reads zeros. The fault is
+// recovered into an error wrapping ErrCorrupt, and so is a zero value,
+// which the open pass never lets through; keys precede values in the
+// file, so the last value read is past the cut whenever any of the
+// range is. A fault outside the mapping re-panics.
+func (d *DiskIndex) mappedEntries(v graph.NodeID, lo, hi int64, s *Scratch, slot int) (k []uint64, val []float64, err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			k, val, err = nil, nil, mappedFault(r, d.mm, fmt.Sprintf("mapped entries of node %d", v))
+		}
+	}()
+	k, val = d.meta.widen(d.mkeys[lo:hi], d.mvals[lo:hi], s, slot)
+	if len(val) > 0 && val[len(val)-1] == 0 {
+		return nil, nil, corrupt("mapped entries of node %d read as zeros (file truncated after open)", v)
+	}
 	return k, val, nil
 }

@@ -232,53 +232,77 @@ func (b *Builder) AddEdge(from, to NodeID) {
 }
 
 // Build finalizes the graph. The builder can be reused afterwards; its
-// accumulated edges are retained.
-func (b *Builder) Build() *Graph {
-	// Sort the edges by (From, To) as packed From<<32|To keys: endpoints
-	// are non-negative, so key order is edge order, and slices.Sort on
-	// plain integers makes no closure call per comparison. The dynamic
-	// tier rebuilds its graph on every update batch, so this sort sits on
-	// its write path.
-	keys := make([]uint64, len(b.edges))
-	for i, e := range b.edges {
-		keys[i] = uint64(e.From)<<32 | uint64(e.To)
-	}
-	slices.Sort(keys)
-	keys = slices.Compact(keys)
-	from := func(k uint64) NodeID { return NodeID(k >> 32) }
-	to := func(k uint64) NodeID { return NodeID(uint32(k)) }
+// accumulated edges are retained. The edges may come in any order and
+// repeat: Build groups them by source with a counting sort, sorts and
+// dedups each row (a row already ascending skips the sort), and fills
+// the in-CSR with a counting pass, O(n + m) beside the row sorts.
+func (b *Builder) Build() *Graph { return build(b.n, b.edges) }
 
-	g := &Graph{n: b.n, m: int64(len(keys))}
-	g.outOff = make([]int64, b.n+1)
-	g.inOff = make([]int64, b.n+1)
-	g.outTo = make([]int32, len(keys))
-	g.inFrom = make([]int32, len(keys))
+// build assembles the dual CSR of n nodes from edges in three linear
+// passes and a sort per row: a counting sort by source, a sort and dedup
+// of each row, then a counting pass by target over the rows, which
+// leaves every in-neighbor list ascending. The dynamic tier rebuilds its
+// graph on every update batch, so this sits on its write path.
+func build(n int32, edges []Edge) *Graph {
+	outOff := make([]int64, n+1)
+	for _, e := range edges {
+		outOff[e.From+1]++
+	}
+	for v := int32(0); v < n; v++ {
+		outOff[v+1] += outOff[v]
+	}
+	cursor := make([]int64, n)
+	copy(cursor, outOff[:n])
+	outTo := make([]int32, len(edges))
+	for _, e := range edges {
+		outTo[cursor[e.From]] = e.To
+		cursor[e.From]++
+	}
+	// Rows only shrink, so each deduped row moves down in place.
+	m, lo := int64(0), int64(0)
+	for v := int32(0); v < n; v++ {
+		hi := outOff[v+1]
+		row := outTo[lo:hi]
+		if !ascending(row) {
+			slices.Sort(row)
+			row = slices.Compact(row)
+		}
+		outOff[v] = m
+		m += int64(copy(outTo[m:], row))
+		lo = hi
+	}
+	outOff[n] = m
+	if m < int64(len(outTo)) {
+		outTo = slices.Clone(outTo[:m])
+	}
 
-	// Out-CSR directly from the sorted edge list.
-	for _, k := range keys {
-		g.outOff[from(k)+1]++
+	inOff := make([]int64, n+1)
+	for _, w := range outTo {
+		inOff[w+1]++
 	}
-	for v := int32(0); v < b.n; v++ {
-		g.outOff[v+1] += g.outOff[v]
+	for v := int32(0); v < n; v++ {
+		inOff[v+1] += inOff[v]
 	}
-	for i, k := range keys {
-		g.outTo[i] = to(k)
+	copy(cursor, inOff[:n])
+	inFrom := make([]int32, m)
+	for v := int32(0); v < n; v++ {
+		for _, w := range outTo[outOff[v]:outOff[v+1]] {
+			inFrom[cursor[w]] = v
+			cursor[w]++
+		}
 	}
-	// In-CSR via counting sort on To; stable scan keeps in-neighbors sorted
-	// because edges are sorted by (From, To) and we bucket by To.
-	for _, k := range keys {
-		g.inOff[to(k)+1]++
+	return &Graph{n: n, m: m, outOff: outOff, outTo: outTo, inOff: inOff, inFrom: inFrom}
+}
+
+// ascending reports whether row is strictly increasing, so already a
+// sorted set; rows from sorted input skip the sort.
+func ascending(row []int32) bool {
+	for i := 1; i < len(row); i++ {
+		if row[i-1] >= row[i] {
+			return false
+		}
 	}
-	for v := int32(0); v < b.n; v++ {
-		g.inOff[v+1] += g.inOff[v]
-	}
-	cursor := make([]int64, b.n)
-	copy(cursor, g.inOff[:b.n])
-	for _, k := range keys {
-		g.inFrom[cursor[to(k)]] = from(k)
-		cursor[to(k)]++
-	}
-	return g
+	return true
 }
 
 // FromEdges builds a directed graph with n nodes from an edge slice,

@@ -226,8 +226,9 @@ func TestPropertyCSRTranspose(t *testing.T) {
 			added[e] = true
 		}
 		g := b.Build()
-		// The built edges are the distinct input edges.
-		if g.Validate() != nil || !sameEdges(g, added) {
+		// The built edges are the distinct input edges, in the CSR the
+		// sort-based build produced.
+		if g.Validate() != nil || !sameEdges(g, added) || !sameCSR(g, referenceBuild(b)) {
 			return false
 		}
 		inSum, outSum := 0, 0

@@ -1,9 +1,14 @@
 package graph
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
+
+// sparseThenDense names label 70000 before the input read so far lets
+// the dense slice reach it, and again once it does.
+var sparseThenDense = "0 70000\n" + strings.Repeat("1 2\n", 20000) + "70000 3\n"
 
 // TestReadEdgeListTable is the table-driven edge-case sweep for the
 // SNAP-format loader: every odd input shape a real edge-list file shows
@@ -94,13 +99,43 @@ func TestReadEdgeListTable(t *testing.T) {
 			missesEdge: nil,
 		},
 		{
-			name:  "custom comment prefix",
-			in:    "// slash comment\n0 1\n",
-			opts:  &LoadOptions{Comment: []string{"//"}},
-			nodes: 2,
-			edges: 1,
+			name:   "signs and leading zeros",
+			in:     "+5 3\n-0 0005\n",
+			nodes:  3,
+			edges:  2,
+			labels: []int64{5, 3, 0},
+		},
+		{
+			name:   "labels of 19 and 23 digits",
+			in:     "1234567890123456789 00000000000000000000042\n",
+			nodes:  2,
+			edges:  1,
+			labels: []int64{1234567890123456789, 42},
+		},
+		{
+			name:   "unicode space separates fields",
+			in:     "0\u00a01\n1\u00852 x\n\u00a0# comment\n",
+			nodes:  3,
+			edges:  2,
+			labels: []int64{0, 1, 2},
+		},
+		{
+			name:   "label past the dense bound after small ones",
+			in:     "1 2\n2 3\n4000000000 1\n2 4000000000\n",
+			nodes:  4,
+			edges:  4,
+			labels: []int64{1, 2, 3, 4000000000},
+		},
+		{
+			name:   "label past the bound comes back inside it",
+			in:     sparseThenDense,
+			nodes:  5,
+			edges:  3,
+			labels: []int64{0, 70000, 1, 2, 3},
 		},
 		{name: "single field", in: "0\n", wantErr: true},
+		{name: "label out of int64 range", in: "9223372036854775808 1\n", wantErr: true},
+		{name: "NUL inside a field", in: "0\x001\n", wantErr: true},
 		{name: "bad source token", in: "x 1\n", wantErr: true},
 		{name: "bad target token", in: "1 y\n", wantErr: true},
 		{name: "float label", in: "1.5 2\n", wantErr: true},
@@ -164,5 +199,38 @@ func TestReadEdgeListTable(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReadEdgeListAllocs pins the parse to a number of allocations that
+// does not grow with its lines. The same 1,000 nodes in 1k and in 100k
+// distinct edges may differ only by the edge slice's extra growth steps,
+// where the string parser allocated twice per line.
+func TestReadEdgeListAllocs(t *testing.T) {
+	allocs := func(lines int) float64 {
+		var sb strings.Builder
+		for i := 0; i < lines; i++ {
+			fmt.Fprintf(&sb, "%d\t%d\n", i%1000, (i+13*(i/1000)+1)%1000)
+		}
+		in := sb.String()
+		return testing.AllocsPerRun(3, func() {
+			if _, _, err := ReadEdgeList(strings.NewReader(in), nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	growth := func(n int) (steps float64) {
+		var edges []Edge
+		for i := 0; i < n; i++ {
+			if len(edges) == cap(edges) {
+				steps++
+			}
+			edges = append(edges, Edge{})
+		}
+		return steps
+	}
+	small, large := allocs(1000), allocs(100000)
+	if extra := growth(100000) - growth(1000); large-small > extra {
+		t.Fatalf("allocations: %v for 1k lines, %v for 100k, want at most %v more", small, large, extra)
 	}
 }

@@ -51,3 +51,11 @@ func wordBase(b []byte) (unsafe.Pointer, int, error) {
 	}
 	return p, len(b) / 4, nil
 }
+
+// Contains reports whether addr lies inside the mapped region, so a
+// caller that recovered a memory fault can tell a fault in the mapping
+// (the file shrank under it) from any other.
+func (m *Mapping) Contains(addr uintptr) bool {
+	base := uintptr(unsafe.Pointer(unsafe.SliceData(m.data)))
+	return len(m.data) > 0 && addr >= base && addr-base < uintptr(len(m.data))
+}

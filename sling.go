@@ -85,9 +85,15 @@ func NewGraphBuilder(n int) *GraphBuilder { return graph.NewBuilder(n) }
 func FromEdges(n int, edges []Edge) *Graph { return graph.FromEdges(n, edges) }
 
 // LoadEdgeList parses a whitespace-separated "src dst" edge list (SNAP
-// format; '#' and '%' comments). Node labels are remapped to dense IDs in
-// order of first appearance; the returned slice maps dense IDs back to
-// the original labels. Set undirected to insert both directions per line.
+// format): blank lines and lines starting with '#' or '%' are skipped,
+// fields past the second are ignored, and a label is a non-negative
+// decimal integer (an optional sign and leading zeros are accepted).
+// Node labels are remapped to dense IDs in order of first appearance;
+// the returned slice maps dense IDs back to the original labels. Set
+// undirected to insert both directions per line. Lines of ASCII
+// whitespace and labels of up to 18 digits are parsed on their bytes
+// with no allocation per line; any other line takes a general path
+// that accepts and rejects the same lines.
 func LoadEdgeList(r io.Reader, undirected bool) (*Graph, []int64, error) {
 	return graph.ReadEdgeList(r, &graph.LoadOptions{Undirected: undirected})
 }

@@ -726,9 +726,54 @@ func TestDiskIndexConcurrentMixedQueries(t *testing.T) {
 
 // A positioned-read fault after open is an error on every query family,
 // never a score. The entries region is truncated away under an open
-// ReadAt index, so every fetch reads past the end of the file. A mapped
-// index is out of scope: truncating a mapped file is SIGBUS by design.
+// ReadAt index, so every fetch reads past the end of the file.
 func TestDiskReadAtFaultIsError(t *testing.T) {
+	_, di, path := faultIndex(t, &DiskOptions{Workers: 2})
+	cutFile(t, path, 8*di.NumEntries())
+	everyFamilyFails(t, di, 3, func(err error) bool {
+		return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
+	})
+}
+
+// The mmap twin: truncating a mapped file is an error wrapping
+// ErrIndexCorrupt on every query family, and the process lives. Cutting
+// the entries region away leaves pages wholly past the end, which fault;
+// cutting only the last value leaves the tail of the last page, which
+// reads zeros.
+func TestDiskMmapFaultIsError(t *testing.T) {
+	if !MmapSupported() {
+		t.Skip("mmap not supported on this platform")
+	}
+	for _, tc := range []struct {
+		name string
+		cut  func(entries int64) int64
+		last bool // query the node owning the last entry
+	}{
+		{"entries region", func(entries int64) int64 { return 8 * entries }, false},
+		{"last value", func(int64) int64 { return 4 }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix, di, path := faultIndex(t, &DiskOptions{Workers: 2, Mmap: true})
+			if !di.Mapped() {
+				t.Fatal("mmap did not engage")
+			}
+			u := NodeID(3)
+			if tc.last {
+				for u = NodeID(ix.Graph().NumNodes() - 1); ; u-- {
+					if keys, _ := ix.x.EntriesOf(u); len(keys) > 0 {
+						break
+					}
+				}
+			}
+			cutFile(t, path, tc.cut(di.NumEntries()))
+			everyFamilyFails(t, di, u, func(err error) bool { return errors.Is(err, ErrIndexCorrupt) })
+		})
+	}
+}
+
+// faultIndex builds a small index, saves it and opens it from disk.
+func faultIndex(t *testing.T, o *DiskOptions) (*Index, *DiskIndex, string) {
+	t.Helper()
 	g := testGraph(40, 240, 32)
 	ix, err := Build(g, WithEps(0.06), WithSeed(33))
 	if err != nil {
@@ -738,38 +783,50 @@ func TestDiskReadAtFaultIsError(t *testing.T) {
 	if err := ix.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	di, err := OpenDiskWithOptions(path, g, &DiskOptions{Workers: 2})
+	di, err := OpenDiskWithOptions(path, g, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer di.Close()
+	t.Cleanup(func() { di.Close() })
+	return ix, di, path
+}
+
+// cutFile truncates the last n bytes off the file at path.
+func cutFile(t *testing.T, path string, n int64) {
+	t.Helper()
 	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(path, st.Size()-8*di.NumEntries()); err != nil {
+	if err := os.Truncate(path, st.Size()-n); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// everyFamilyFails asks each query family about node u and wants an
+// error that want accepts and no answer beside it.
+func everyFamilyFails(t *testing.T, di *DiskIndex, u NodeID, want func(error) bool) {
+	t.Helper()
 	check := func(family string, gotAnswer bool, err error) {
 		t.Helper()
-		if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Errorf("%s: err = %v, want io.EOF or io.ErrUnexpectedEOF", family, err)
+		if !want(err) {
+			t.Errorf("%s: unexpected err = %v", family, err)
 		}
 		if gotAnswer {
 			t.Errorf("%s returned an answer beside its error", family)
 		}
 	}
-	score, err := di.SimRank(bg, 3, 7)
+	score, err := di.SimRank(bg, u, 7)
 	check("SimRank", score != 0, err)
-	vec, err := di.SingleSource(bg, 3, nil)
+	vec, err := di.SingleSource(bg, u, nil)
 	check("SingleSource", vec != nil, err)
-	top, err := di.TopK(bg, 3, 5)
+	top, err := di.TopK(bg, u, 5)
 	check("TopK", top != nil, err)
-	top, err = di.SourceTop(bg, 3, 5)
+	top, err = di.SourceTop(bg, u, 5)
 	check("SourceTop", top != nil, err)
-	frag, err := di.Fragment(bg, 3)
+	frag, err := di.Fragment(bg, u)
 	check("Fragment", frag != nil, err)
-	rows, err := di.SingleSourceBatch(bg, []NodeID{1, 2, 3, 4, 5})
+	rows, err := di.SingleSourceBatch(bg, []NodeID{1, 2, u, 4, 5})
 	check("SingleSourceBatch", rows != nil, err)
 }
 
