@@ -85,11 +85,11 @@ func BenchmarkFig1SinglePairSLING(b *testing.B) {
 	for _, ds := range []string{"GrQc", "Wiki-Vote", "Enron"} {
 		b.Run(ds, func(b *testing.B) {
 			s := setup(b, ds)
-			qs := s.sling.NewScratch()
+			pool := s.sling.NewScratchPool()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				p := s.pairs[i%len(s.pairs)]
-				s.sling.SimRank(p.U, p.V, qs)
+				pool.SimRank(p.U, p.V)
 			}
 		})
 	}
@@ -127,11 +127,11 @@ func BenchmarkFig2SingleSourceSLING(b *testing.B) {
 	for _, ds := range []string{"GrQc", "Wiki-Vote", "Enron"} {
 		b.Run(ds, func(b *testing.B) {
 			s := setup(b, ds)
-			ss := s.sling.NewSourceScratch()
+			pool := s.sling.NewScratchPool()
 			out := make([]float64, s.g.NumNodes())
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				s.sling.SingleSource(s.nodes[i%len(s.nodes)], ss, out)
+				pool.SingleSource(s.nodes[i%len(s.nodes)], out)
 			}
 		})
 	}
@@ -139,11 +139,11 @@ func BenchmarkFig2SingleSourceSLING(b *testing.B) {
 
 func BenchmarkFig2SingleSourceSLINGAlg3Loop(b *testing.B) {
 	s := setup(b, "GrQc")
-	qs := s.sling.NewScratch()
+	pool := s.sling.NewScratchPool()
 	out := make([]float64, s.g.NumNodes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.sling.SingleSourceNaive(s.nodes[i%len(s.nodes)], qs, out)
+		pool.SingleSourceNaive(s.nodes[i%len(s.nodes)], out)
 	}
 }
 
@@ -302,20 +302,20 @@ func BenchmarkAblationSpaceReduction(b *testing.B) {
 	}
 	b.Run("off", func(b *testing.B) {
 		b.ReportMetric(float64(full.Bytes()), "index-bytes")
-		qs := full.NewScratch()
+		pool := full.NewScratchPool()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			p := s.pairs[i%len(s.pairs)]
-			full.SimRank(p.U, p.V, qs)
+			pool.SimRank(p.U, p.V)
 		}
 	})
 	b.Run("on", func(b *testing.B) {
 		b.ReportMetric(float64(s.sling.Bytes()), "index-bytes")
-		qs := s.sling.NewScratch()
+		pool := s.sling.NewScratchPool()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			p := s.pairs[i%len(s.pairs)]
-			s.sling.SimRank(p.U, p.V, qs)
+			pool.SimRank(p.U, p.V)
 		}
 	})
 }
@@ -326,11 +326,11 @@ func BenchmarkAblationEnhanceQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	qs := enh.NewScratch()
+	pool := enh.NewScratchPool()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := s.pairs[i%len(s.pairs)]
-		enh.SimRank(p.U, p.V, qs)
+		pool.SimRank(p.U, p.V)
 	}
 }
 
@@ -381,8 +381,10 @@ func benchSortTop(scores []float64, k int, skip NodeID) []Scored {
 // selection step is measured (k=10 ≪ n).
 func BenchmarkTopK(b *testing.B) {
 	s := setup(b, "Enron")
-	ss := s.sling.NewSourceScratch()
-	scores := s.sling.SingleSource(s.nodes[0], ss, nil)
+	scores, err := s.sling.NewScratchPool().SingleSource(s.nodes[0], nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("heap", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -27,10 +27,13 @@ func TestDecayFactorSweepSLING(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := x.NewScratch()
+		p := x.NewScratchPool()
 		for i := 0; i < 35; i++ {
 			for j := 0; j < 35; j++ {
-				got := x.SimRank(graph.NodeID(i), graph.NodeID(j), s)
+				got, err := p.SimRank(graph.NodeID(i), graph.NodeID(j))
+				if err != nil {
+					t.Fatal(err)
+				}
 				if d := math.Abs(got - truth.At(i, j)); d > x.ErrorBound() {
 					t.Fatalf("c=%v: error %v at (%d,%d) exceeds %v", c, d, i, j, x.ErrorBound())
 				}
@@ -50,9 +53,12 @@ func TestDecayFactorSweepSingleSource(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss := x.NewSourceScratch()
+		p := x.NewScratchPool()
 		for u := 0; u < 30; u += 5 {
-			scores := x.SingleSource(graph.NodeID(u), ss, nil)
+			scores, err := p.SingleSource(graph.NodeID(u), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for v := 0; v < 30; v++ {
 				if d := math.Abs(scores[v] - truth.At(u, v)); d > x.ErrorBound() {
 					t.Fatalf("c=%v: single-source error %v at (%d,%d)", c, d, u, v)
@@ -111,7 +117,10 @@ func TestDecayScalingSharedParent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := x.SimRank(0, 1, nil)
+		got, err := x.NewScratchPool().SimRank(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if math.Abs(got-c) > x.ErrorBound() {
 			t.Fatalf("c=%v: s(0,1) = %v", c, got)
 		}

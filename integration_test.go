@@ -43,14 +43,18 @@ func TestAllMethodsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	qs := slingIx.NewScratch()
+	pool := slingIx.NewScratchPool()
 	ls := linIx.NewScratch()
 	var worstSling, worstMC, worstLin float64
 	for i := 0; i < 50; i++ {
 		for j := 0; j < 50; j++ {
 			want := truth.At(i, j)
 			u, v := graph.NodeID(i), graph.NodeID(j)
-			if d := math.Abs(slingIx.SimRank(u, v, qs) - want); d > worstSling {
+			got, err := pool.SimRank(u, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := math.Abs(got - want); d > worstSling {
 				worstSling = d
 			}
 			if d := math.Abs(mcIx.SimRank(u, v) - want); d > worstMC {
@@ -185,10 +189,13 @@ func TestAdversarialFourCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs := ix.NewScratch()
+	pool := ix.NewScratchPool()
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
-			got := ix.SimRank(graph.NodeID(i), graph.NodeID(j), qs)
+			got, err := pool.SimRank(graph.NodeID(i), graph.NodeID(j))
+			if err != nil {
+				t.Fatal(err)
+			}
 			if math.Abs(got-truth.At(i, j)) > ix.ErrorBound() {
 				t.Fatalf("SLING breaks its bound on the adversarial cycle at (%d,%d): %v", i, j, got)
 			}

@@ -543,9 +543,6 @@ type Handle struct {
 	e   *entry
 }
 
-// ID returns the graph ID.
-func (h *Handle) ID() string { return h.e.spec.ID }
-
 // Querier returns the open backend.
 func (h *Handle) Querier() sling.Querier { return h.e.q }
 

@@ -157,13 +157,6 @@ func NewHTTPBackend(name string, h http.Handler, n int, clamped bool) Backend {
 	return newHTTPBackend(name, h, "", n, clamped)
 }
 
-// NewHTTPBackendAt is NewHTTPBackend under a route prefix — the adapter
-// for one graph of a catalog server, e.g. prefix "/g/wiki" drives
-// /g/wiki/simrank, /g/wiki/batch, /g/wiki/stats.
-func NewHTTPBackendAt(name string, h http.Handler, prefix string, n int, clamped bool) Backend {
-	return newHTTPBackend(name, h, prefix, n, clamped)
-}
-
 func newHTTPBackend(name string, h http.Handler, prefix string, n int, clamped bool) *httpBackend {
 	c, err := httpclient.New(httpclient.Options{
 		Handler: h,
@@ -331,9 +324,4 @@ func (s *StaticSet) Close() {
 	for _, c := range s.closers {
 		c()
 	}
-}
-
-// All returns the reference followed by the other backends.
-func (s *StaticSet) All() []Backend {
-	return append([]Backend{s.Ref}, s.Others...)
 }

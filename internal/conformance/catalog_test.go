@@ -118,7 +118,8 @@ func catalogSet(t *testing.T) (srv *server.Server, http map[string]Backend, refs
 	for _, id := range []string{"mem", "disk", "dyn"} {
 		// The dynamic layer clamps scores to [0, 1]; its wire backend
 		// carries the same flag so Meta stays coherent.
-		http[id] = NewHTTPBackendAt("http-catalog-"+id, srv, "/g/"+id, catalogNodes, id == "dyn")
+		// The route prefix "/g/"+id drives /g/{id}/simrank and the rest.
+		http[id] = newHTTPBackend("http-catalog-"+id, srv, "/g/"+id, catalogNodes, id == "dyn")
 	}
 	return srv, http, refs
 }

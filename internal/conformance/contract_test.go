@@ -37,7 +37,7 @@ func contractBackends(t *testing.T) (n int, backends []Backend) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { dx.Close() })
-	return g.NumNodes(), append(set.All(), NamedBackend(dx, "dynamic"))
+	return g.NumNodes(), append(append([]Backend{set.Ref}, set.Others...), NamedBackend(dx, "dynamic"))
 }
 
 // TestQuerierContractBadNode: an out-of-range node yields an error

@@ -34,7 +34,7 @@ func edgeCaseSet(t *testing.T) (*sling.Graph, []Backend, func()) {
 		set.Close()
 		t.Fatal(err)
 	}
-	backends := append(set.All(), NamedBackend(dx, "dynamic"))
+	backends := append(append([]Backend{set.Ref}, set.Others...), NamedBackend(dx, "dynamic"))
 	return g, backends, func() {
 		dx.Close()
 		set.Close()

@@ -42,6 +42,15 @@ func buildIndex(t testing.TB, g *graph.Graph, o *Options) *Index {
 	return x
 }
 
+// must unwraps a query answer from a memory pool, whose resident entry
+// source cannot fail.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 func TestResolveDefaultsMatchPaper(t *testing.T) {
 	prm, err := (&Options{}).resolve(1000)
 	if err != nil {
@@ -123,7 +132,7 @@ func TestBuildEmptyGraph(t *testing.T) {
 func TestSingleNodeGraph(t *testing.T) {
 	g := graph.NewBuilder(1).Build()
 	x := buildIndex(t, g, &Options{Eps: 0.1})
-	if got := x.SimRank(0, 0, nil); math.Abs(got-1) > 0.1 {
+	if got := must(x.NewScratchPool().SimRank(0, 0)); math.Abs(got-1) > 0.1 {
 		t.Fatalf("s(0,0) = %v", got)
 	}
 	if x.D(0) != 1 {
@@ -135,7 +144,7 @@ func TestSelfLoopNode(t *testing.T) {
 	b := graph.NewBuilder(1)
 	b.AddEdge(0, 0)
 	x := buildIndex(t, b.Build(), &Options{Eps: 0.1, Seed: 3})
-	if got := x.SimRank(0, 0, nil); math.Abs(got-1) > 0.1 {
+	if got := must(x.NewScratchPool().SimRank(0, 0)); math.Abs(got-1) > 0.1 {
 		t.Fatalf("s(0,0) = %v on self-loop", got)
 	}
 }
@@ -244,11 +253,11 @@ func TestSinglePairAccuracy(t *testing.T) {
 	const c = 0.6
 	truth := groundTruth(t, g, c)
 	x := buildIndex(t, g, &Options{C: c, Eps: 0.05, Seed: 25})
-	s := x.NewScratch()
+	p := x.NewScratchPool()
 	worst := 0.0
 	for i := 0; i < 40; i++ {
 		for j := 0; j < 40; j++ {
-			got := x.SimRank(graph.NodeID(i), graph.NodeID(j), s)
+			got := must(p.SimRank(graph.NodeID(i), graph.NodeID(j)))
 			if d := math.Abs(got - truth.At(i, j)); d > worst {
 				worst = d
 			}
@@ -262,9 +271,9 @@ func TestSinglePairAccuracy(t *testing.T) {
 func TestSelfScoresNearOne(t *testing.T) {
 	g := randomGraph(30, 180, 27)
 	x := buildIndex(t, g, &Options{Eps: 0.05, Seed: 29})
-	s := x.NewScratch()
+	p := x.NewScratchPool()
 	for v := graph.NodeID(0); v < 30; v++ {
-		got := x.SimRank(v, v, s)
+		got := must(p.SimRank(v, v))
 		if math.Abs(got-1) > x.ErrorBound() {
 			t.Fatalf("s(%d,%d) = %v", v, v, got)
 		}
@@ -274,10 +283,10 @@ func TestSelfScoresNearOne(t *testing.T) {
 func TestQuerySymmetry(t *testing.T) {
 	g := randomGraph(35, 210, 31)
 	x := buildIndex(t, g, &Options{Eps: 0.06, Seed: 33})
-	s := x.NewScratch()
+	p := x.NewScratchPool()
 	for i := graph.NodeID(0); i < 35; i++ {
 		for j := i + 1; j < 35; j++ {
-			a, b := x.SimRank(i, j, s), x.SimRank(j, i, s)
+			a, b := must(p.SimRank(i, j)), must(p.SimRank(j, i))
 			if math.Abs(a-b) > 1e-12 {
 				t.Fatalf("asymmetric: s(%d,%d)=%v s(%d,%d)=%v", i, j, a, j, i, b)
 			}
@@ -370,28 +379,10 @@ func BenchmarkSinglePairQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := x.NewScratch()
+	p := x.NewScratchPool()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x.SimRank(graph.NodeID(i%2000), graph.NodeID((i*13)%2000), s)
-	}
-}
-
-func TestAllPairsMatchesSingleSource(t *testing.T) {
-	g := randomGraph(30, 160, 121)
-	x := buildIndex(t, g, &Options{Eps: 0.06, Seed: 123})
-	all, err := x.AllPairs(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss := x.NewSourceScratch()
-	for u := 0; u < 30; u++ {
-		row := x.SingleSource(graph.NodeID(u), ss, nil)
-		for v := 0; v < 30; v++ {
-			if all.At(u, v) != row[v] {
-				t.Fatalf("AllPairs(%d,%d) differs from SingleSource", u, v)
-			}
-		}
+		p.SimRank(graph.NodeID(i%2000), graph.NodeID((i*13)%2000))
 	}
 }
 
@@ -436,10 +427,10 @@ func TestSerializedFormatGolden(t *testing.T) {
 func TestConcurrentScratchIsolation(t *testing.T) {
 	g := randomGraph(50, 300, 125)
 	x := buildIndex(t, g, &Options{Eps: 0.05, Seed: 127, Enhance: true})
+	p := x.NewScratchPool()
 	want := make([]float64, 50)
-	s0 := x.NewScratch()
 	for v := 0; v < 50; v++ {
-		want[v] = x.SimRank(11, graph.NodeID(v), s0)
+		want[v] = must(p.SimRank(11, graph.NodeID(v)))
 	}
 	var wg sync.WaitGroup
 	bad := make(chan struct{}, 16)
@@ -447,17 +438,15 @@ func TestConcurrentScratchIsolation(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s := x.NewScratch()
-			ss := x.NewSourceScratch()
 			out := make([]float64, 50)
 			for rep := 0; rep < 30; rep++ {
 				for v := 0; v < 50; v++ {
-					if x.SimRank(11, graph.NodeID(v), s) != want[v] {
+					if must(p.SimRank(11, graph.NodeID(v))) != want[v] {
 						bad <- struct{}{}
 						return
 					}
 				}
-				x.SingleSource(11, ss, out)
+				must(p.SingleSource(11, out))
 			}
 		}()
 	}

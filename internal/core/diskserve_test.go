@@ -45,33 +45,37 @@ func TestDiskServeMatchesMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pool := d.NewScratchPool()
-		ss := x.NewSourceScratch()
+		pool, mem := d.NewScratchPool(), x.NewScratchPool()
 		for u := graph.NodeID(0); u < 60; u += 7 {
 			for v := graph.NodeID(0); v < 60; v += 5 {
 				got, err := pool.SimRank(u, v)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if want := x.SimRank(u, v, nil); got != want {
+				if want := must(mem.SimRank(u, v)); got != want {
 					t.Fatalf("%s: disk s(%d,%d)=%v, memory %v", mode, u, v, got, want)
 				}
 			}
-			wantVec := x.SingleSource(u, ss, nil)
+			wantVec := must(mem.SingleSource(u, nil))
 			gotVec, err := pool.SingleSource(u, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for v := range wantVec {
-				if gotVec[v] != wantVec[v] {
-					t.Fatalf("%s: disk single-source differs at %d", mode, v)
-				}
+			if !slices.Equal(gotVec, wantVec) {
+				t.Fatalf("%s: disk single-source of %d differs", mode, u)
+			}
+			gotNaive, err := pool.SingleSourceNaive(u, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(gotNaive, must(mem.SingleSourceNaive(u, nil))) {
+				t.Fatalf("%s: disk Alg-3 loop of %d differs", mode, u)
 			}
 			gotTop, err := pool.TopK(u, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantTop := x.TopK(u, 7, ss)
+			wantTop := must(mem.TopK(u, 7))
 			if len(gotTop) != len(wantTop) {
 				t.Fatalf("TopK length %d vs %d", len(gotTop), len(wantTop))
 			}
@@ -109,7 +113,7 @@ func TestDiskServeMatchesMemory(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, u := range us {
-				want := x.SingleSource(u, ss, nil)
+				want := must(mem.SingleSource(u, nil))
 				for v := range want {
 					if rows[i][v] != want[v] {
 						t.Fatalf("batch(workers=%d) row %d differs at %d", workers, i, v)
@@ -131,11 +135,10 @@ func TestDiskScratchPoolConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	pool := d.NewScratchPool()
-	ss := x.NewSourceScratch()
-	wantPair := x.SimRank(3, 9, nil)
-	wantVec := append([]float64(nil), x.SingleSource(7, ss, nil)...)
-	wantTop := x.TopK(5, 6, ss)
+	pool, mem := d.NewScratchPool(), x.NewScratchPool()
+	wantPair := must(mem.SimRank(3, 9))
+	wantVec := must(mem.SingleSource(7, nil))
+	wantTop := must(mem.TopK(5, 6))
 	var wg sync.WaitGroup
 	errs := make(chan string, 16)
 	for w := 0; w < 8; w++ {

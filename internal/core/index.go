@@ -88,7 +88,8 @@ func (x *Index) NumEntries() int { return len(x.keys) }
 
 // EntriesOf returns node v's stored HP entries, widened into fresh
 // slices. With space reduction active this excludes the dropped
-// step-1/2 entries; Entry-level consumers normally want gather instead.
+// step-1/2 entries; entry-level consumers normally want FragmentOf,
+// the effective set queries see.
 func (x *Index) EntriesOf(v graph.NodeID) (keys []uint64, vals []float64) {
 	var s Scratch
 	return x.widen(x.keys[x.off[v]:x.off[v+1]], x.vals[x.off[v]:x.off[v+1]], &s, 0)

@@ -18,10 +18,10 @@ import (
 // concrete: queries get faster than the straightforward Algorithm 3 loop,
 // but the lists duplicate every HP entry (≈2× space), and they cannot
 // coexist with the Section 5.2 space reduction — the reduced step-1/2
-// entries must be materialized back. Algorithm 6 (Index.SingleSource) is
-// the paper's middle ground; Inverted exists to reproduce the comparison
-// and to serve workloads that want the fastest single-source at any
-// space cost.
+// entries must be materialized back. Algorithm 6
+// (ScratchPool.SingleSource) is the paper's middle ground; Inverted
+// exists to reproduce the comparison and to serve workloads that want
+// the fastest single-source at any space cost.
 
 // Inverted is the inverted-list companion structure of an Index.
 type Inverted struct {
@@ -49,21 +49,9 @@ func (x *Index) BuildInverted() *Inverted {
 	}
 	var all []entry
 	s := x.NewScratch()
-	var bufK []uint64
-	var bufV []float64
 	for v := 0; v < n; v++ {
 		stored, storedVals, _ := x.entries(graph.NodeID(v), s, 0)
-		keys, vals := stored, storedVals
-		if x.reduced[v] {
-			keys, vals = bufK[:0], bufV[:0]
-			cut := findStep(stored, 1)
-			keys = append(keys, stored[:cut]...)
-			vals = append(vals, storedVals[:cut]...)
-			keys, vals = x.appendExactSteps12(graph.NodeID(v), s, keys, vals)
-			keys = append(keys, stored[cut:]...)
-			vals = append(vals, storedVals[cut:]...)
-			bufK, bufV = keys, vals
-		}
+		keys, vals := x.reconstruct(graph.NodeID(v), stored, storedVals, s, 0)
 		for i := range keys {
 			all = append(all, entry{key: keys[i], v: int32(v), h: vals[i]})
 		}
@@ -106,9 +94,11 @@ func (iv *Inverted) list(key uint64) ([]int32, []float64) {
 }
 
 // SingleSource answers s̃(u, ·) by scanning the inverted lists keyed by
-// H(u). The result equals the Algorithm-3 loop exactly (same entry sets,
-// same arithmetic) at a fraction of the cost; out is reused when it has
-// capacity n.
+// H(u); out is reused when it has capacity n. On an index built without
+// Enhance the result equals the Algorithm-3 loop (ScratchPool's
+// SingleSourceNaive) exactly, same entry sets and same arithmetic, at a
+// fraction of the cost. With Enhance it does not: the lists leave out
+// the query-time H*(v) expansion that the loop applies.
 func (iv *Inverted) SingleSource(u graph.NodeID, s *Scratch, out []float64) []float64 {
 	x := iv.x
 	if s == nil {
@@ -119,24 +109,11 @@ func (iv *Inverted) SingleSource(u graph.NodeID, s *Scratch, out []float64) []fl
 		out = make([]float64, n)
 	}
 	out = out[:n]
-	for i := range out {
-		out[i] = 0
-	}
+	clear(out)
 	// Effective H(u) without the query-time enhancement, matching how the
 	// lists were built.
 	stored, storedVals, _ := x.entries(u, s, 0)
-	keys, vals := stored, storedVals
-	if x.reduced[u] {
-		k2, v2 := s.gk[0][:0], s.gv[0][:0]
-		cut := findStep(stored, 1)
-		k2 = append(k2, stored[:cut]...)
-		v2 = append(v2, storedVals[:cut]...)
-		k2, v2 = x.appendExactSteps12(u, s, k2, v2)
-		k2 = append(k2, stored[cut:]...)
-		v2 = append(v2, storedVals[cut:]...)
-		s.gk[0], s.gv[0] = k2, v2
-		keys, vals = k2, v2
-	}
+	keys, vals := x.reconstruct(u, stored, storedVals, s, 0)
 	for i, key := range keys {
 		hu := vals[i] * x.d[keyNode(key)]
 		nodes, hs := iv.list(key)

@@ -11,11 +11,11 @@ func TestInvertedMatchesNaiveLoop(t *testing.T) {
 	g := randomGraph(50, 300, 131)
 	x := buildIndex(t, g, &Options{Eps: 0.05, Seed: 133})
 	iv := x.BuildInverted()
+	p := x.NewScratchPool()
 	s := x.NewScratch()
-	s2 := x.NewScratch()
 	for _, u := range []graph.NodeID{0, 17, 49} {
-		want := x.SingleSourceNaive(u, s, nil)
-		got := iv.SingleSource(u, s2, nil)
+		want := must(p.SingleSourceNaive(u, nil))
+		got := iv.SingleSource(u, s, nil)
 		for v := 0; v < 50; v++ {
 			if math.Abs(got[v]-want[v]) > 1e-12 {
 				t.Fatalf("inverted s(%d,%d) = %v, naive %v", u, v, got[v], want[v])
@@ -126,11 +126,11 @@ func BenchmarkSingleSourceAlg6(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ss := x.NewSourceScratch()
+	p := x.NewScratchPool()
 	out := make([]float64, 2000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x.SingleSource(graph.NodeID(i%2000), ss, out)
+		p.SingleSource(graph.NodeID(i%2000), out)
 	}
 }
 
@@ -140,10 +140,10 @@ func BenchmarkSingleSourceNaiveLoop(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := x.NewScratch()
+	p := x.NewScratchPool()
 	out := make([]float64, 2000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		x.SingleSourceNaive(graph.NodeID(i%2000), s, out)
+		p.SingleSourceNaive(graph.NodeID(i%2000), out)
 	}
 }

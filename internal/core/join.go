@@ -98,11 +98,12 @@ func (iv *Inverted) SimilarPairs(tau float64) []JoinPair {
 		}
 	}
 
-	// Verification with the exact single-pair join.
-	s := x.NewScratch()
+	// Verification with the exact single-pair join. The resident entry
+	// source cannot fail, so the pool's error is always nil.
+	p := x.NewScratchPool()
 	var out []JoinPair
 	for _, c := range cands {
-		score := x.SimRank(c.u, c.v, s)
+		score, _ := p.SimRank(c.u, c.v)
 		if score >= tau {
 			out = append(out, JoinPair{U: c.u, V: c.v, Score: score})
 		}
@@ -117,25 +118,4 @@ func (iv *Inverted) SimilarPairs(tau float64) []JoinPair {
 		return out[i].V < out[j].V
 	})
 	return out
-}
-
-// TopKPairs returns the k highest-scoring unordered pairs (excluding the
-// diagonal) by running SimilarPairs with a decreasing threshold until k
-// results accumulate — the paper's "top-k similarity join" query shape.
-func (x *Index) TopKPairs(k int) []JoinPair {
-	if k <= 0 {
-		return nil
-	}
-	iv := x.BuildInverted()
-	tau := 0.5
-	for {
-		pairs := iv.SimilarPairs(tau)
-		if len(pairs) >= k || tau < 1e-3 {
-			if len(pairs) > k {
-				pairs = pairs[:k]
-			}
-			return pairs
-		}
-		tau /= 2
-	}
 }

@@ -10,11 +10,11 @@ import (
 // queries.
 func bruteJoin(x *Index, tau float64) map[uint64]float64 {
 	n := x.g.NumNodes()
-	s := x.NewScratch()
+	p := x.NewScratchPool()
 	out := make(map[uint64]float64)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
-			score := x.SimRank(graph.NodeID(u), graph.NodeID(v), s)
+			score := must(p.SimRank(graph.NodeID(u), graph.NodeID(v)))
 			if score >= tau {
 				out[uint64(uint32(u))<<32|uint64(uint32(v))] = score
 			}
@@ -80,35 +80,5 @@ func TestSimilarPairsPanicsOnBadTau(t *testing.T) {
 			}()
 			x.SimilarPairs(tau)
 		}()
-	}
-}
-
-func TestTopKPairs(t *testing.T) {
-	g := randomGraph(50, 250, 177)
-	x := buildIndex(t, g, &Options{Eps: 0.08, Seed: 179})
-	top := x.TopKPairs(10)
-	if len(top) > 10 {
-		t.Fatalf("TopKPairs returned %d", len(top))
-	}
-	// Must be the globally highest-scoring pairs: compare against brute
-	// force over everything with a low floor.
-	all := bruteJoin(x, 1e-3)
-	better := 0
-	floor := top[len(top)-1].Score
-	for _, score := range all {
-		if score > floor {
-			better++
-		}
-	}
-	if better > len(top) {
-		t.Fatalf("%d pairs score above the returned floor %v, but only %d returned", better, floor, len(top))
-	}
-}
-
-func TestTopKPairsZero(t *testing.T) {
-	g := randomGraph(10, 40, 181)
-	x := buildIndex(t, g, &Options{Eps: 0.1, Seed: 183})
-	if got := x.TopKPairs(0); got != nil {
-		t.Fatal("k=0 returned pairs")
 	}
 }

@@ -48,10 +48,10 @@ func TestOutOfCoreTinyBudgetSpills(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, s2 := mem.NewScratch(), ooc.NewScratch()
+	p1, p2 := mem.NewScratchPool(), ooc.NewScratchPool()
 	for i := graph.NodeID(0); i < 120; i += 7 {
 		for j := graph.NodeID(0); j < 120; j += 11 {
-			if a, b := mem.SimRank(i, j, s1), ooc.SimRank(i, j, s2); a != b {
+			if a, b := must(p1.SimRank(i, j)), must(p2.SimRank(i, j)); a != b {
 				t.Fatalf("spilled build differs at (%d,%d): %v vs %v", i, j, a, b)
 			}
 		}

@@ -33,8 +33,8 @@ func (x *Index) entries(v graph.NodeID, s *Scratch, slot int) ([]uint64, []float
 	return keys, vals, nil
 }
 
-// gatherAt is gather over the entries src fetches into slot: the one
-// fetch site of every served query.
+// gatherAt gathers node v's effective HP set (gatherFrom) from the
+// entries src fetches into slot: the one fetch site of every query.
 func (x *Index) gatherAt(src entrySource, v graph.NodeID, s *Scratch, slot int) ([]uint64, []float64, error) {
 	stored, storedVals, err := src.entries(v, s, slot)
 	if err != nil {
@@ -51,9 +51,6 @@ func (x *Index) gatherAt(src entrySource, v graph.NodeID, s *Scratch, slot int) 
 // arbitrary concurrency without allocating scratch per call and without
 // any global lock. All buffers are sized for the pool's index; a buffer
 // returned with Put may be handed to any later Get on any goroutine.
-//
-// Answers through the pool are exactly those of the resident Index
-// methods on the same entries.
 type ScratchPool struct {
 	x       *Index // graph, parameters, d̃, and offsets
 	src     entrySource
@@ -166,6 +163,34 @@ func (p *ScratchPool) top(u graph.NodeID, k int, skip graph.NodeID) ([]TopEntry,
 	return top, err
 }
 
+// SingleSourceNaive answers a single-source query by running the
+// Algorithm 3 single-pair join once per node — the O(n/ε) straightforward
+// method the paper compares Algorithm 6 against in Figure 2 — writing
+// into out when it has capacity.
+func (p *ScratchPool) SingleSourceNaive(u graph.NodeID, out []float64) ([]float64, error) {
+	n := p.x.g.NumNodes()
+	if cap(out) < n {
+		out = make([]float64, n)
+	}
+	out = out[:n]
+	s := p.Scratch()
+	defer p.PutScratch(s)
+	ku, vu, err := p.x.gatherAt(p.src, u, s, 0)
+	if err != nil {
+		return nil, err
+	}
+	// Gathering v below uses only the second slot, so u's entries in
+	// the first stay valid.
+	for v := 0; v < n; v++ {
+		kv, vv, err := p.x.gatherAt(p.src, graph.NodeID(v), s, 1)
+		if err != nil {
+			return nil, err
+		}
+		out[v] = joinScore(ku, vu, kv, vv, p.x.d)
+	}
+	return out, nil
+}
+
 // SingleSourceBatch answers one single-source query per source in us,
 // fanned across workers goroutines (the build's Options.Workers when
 // workers <= 0) with per-worker scratch. Row i equals
@@ -173,9 +198,12 @@ func (p *ScratchPool) top(u graph.NodeID, k int, skip graph.NodeID) ([]TopEntry,
 // aborts the batch, and a cancelled ctx (nil means never) stops the
 // fan-out between sources.
 func (p *ScratchPool) SingleSourceBatch(ctx context.Context, us []graph.NodeID, workers int) ([][]float64, error) {
+	if workers <= 0 {
+		workers = p.x.prm.workers
+	}
 	n := p.x.g.NumNodes()
 	out := make([][]float64, len(us))
-	if err := p.x.forEachSource(ctx, len(us), workers, func(i int, s *SourceScratch) error {
+	if err := ForEach(ctx, len(us), workers, p.x.NewSourceScratch, func(i int, s *SourceScratch) error {
 		row, err := p.singleSource(us[i], s, make([]float64, n))
 		out[i] = row
 		return err

@@ -14,8 +14,8 @@ import (
 // entries into H*(v)).
 
 // Scratch holds per-query buffers so queries do not allocate. Each
-// goroutine querying an Index or DiskIndex concurrently needs its own
-// Scratch.
+// goroutine querying concurrently needs its own Scratch; ScratchPool
+// hands them out.
 type Scratch struct {
 	// Gathered entry lists, one slot per endpoint of a pair.
 	gk [2][]uint64
@@ -111,20 +111,14 @@ func (x *Index) appendExactSteps12(v graph.NodeID, s *Scratch, keys []uint64, va
 	return keys, vals
 }
 
-// gather materializes the effective HP set of node v — stored entries,
-// with exact step-1/2 reconstruction when v is space-reduced and the
-// H*(v) enhancement expansion when the index was built with Enhance —
-// sorted by key, in s's buffers for slot. The result is read-only to the
-// caller and valid until the slot is next used.
-func (x *Index) gather(v graph.NodeID, s *Scratch, slot int) ([]uint64, []float64) {
-	stored, storedVals, _ := x.entries(v, s, slot)
-	return x.gatherFrom(v, stored, storedVals, s, slot)
-}
-
-// gatherFrom is gather over stored entries already widened into slot's
-// fetch buffers; it is the shared path between the in-memory Index and
-// the serving engine, which fetches a node's entries from memory, a
-// mapping, or positioned reads before transforming them.
+// gatherFrom materializes node v's effective HP set from its stored
+// entries, already widened into slot's fetch buffers: the exact
+// step-1/2 reconstruction when v is space-reduced and the H*(v)
+// enhancement expansion when the index was built with Enhance, sorted
+// by key. It is the one transformation between a fetch and a query,
+// whether the entries came from memory, a mapping, or positioned reads.
+// The result is read-only to the caller and valid until the slot is
+// next used.
 //
 // When v needs neither treatment the widened entries are the result;
 // otherwise the result is built in the slot's gather buffers, which are
@@ -134,10 +128,22 @@ func (x *Index) gatherFrom(v graph.NodeID, stored []uint64, storedVals []float64
 	if !x.reduced[v] && !enhance {
 		return stored, storedVals
 	}
+	keys, vals := x.reconstruct(v, stored, storedVals, s, slot)
+	if enhance {
+		lo, hi := x.markOff[v], x.markOff[v+1]
+		keys, vals = x.expandMarks(x.marks[lo:hi], stored, storedVals, s, keys, vals)
+		s.gk[slot], s.gv[slot] = keys, vals
+	}
+	return keys, vals
+}
+
+// reconstruct copies node v's stored entries into slot's gather buffers
+// and, when v is space-reduced, interleaves its exact step-1/2 entries
+// (Algorithm 5) between the stored step 0 and steps >= 3, preserving key
+// order. It is the effective H(v) without the Section 5.3 enhancement.
+func (x *Index) reconstruct(v graph.NodeID, stored []uint64, storedVals []float64, s *Scratch, slot int) ([]uint64, []float64) {
 	keys, vals := s.gk[slot][:0], s.gv[slot][:0]
 	if x.reduced[v] {
-		// Stored layout: step 0, then steps >= 3. Interleave the exact
-		// steps 1-2 between them, preserving key order.
 		cut := findStep(stored, 1)
 		keys = append(keys, stored[:cut]...)
 		vals = append(vals, storedVals[:cut]...)
@@ -147,10 +153,6 @@ func (x *Index) gatherFrom(v graph.NodeID, stored []uint64, storedVals []float64
 	} else {
 		keys = append(keys, stored...)
 		vals = append(vals, storedVals...)
-	}
-	if enhance {
-		lo, hi := x.markOff[v], x.markOff[v+1]
-		keys, vals = x.expandMarks(x.marks[lo:hi], stored, storedVals, s, keys, vals)
 	}
 	s.gk[slot], s.gv[slot] = keys, vals
 	return keys, vals
@@ -203,18 +205,6 @@ func (x *Index) expandMarks(marks []int32, storedK []uint64, storedV []float64, 
 	vals = append(vals, s.addVals...)
 	sortEntries(keys, vals)
 	return keys, vals
-}
-
-// SimRank returns s̃(u, v) with at most ErrorBound() additive error
-// (Theorem 1), evaluated by the Algorithm 3 merge join
-// s̃ = Σ_{(ℓ,k)} h̃^(ℓ)(u,k)·d̃_k·h̃^(ℓ)(v,k). A nil scratch allocates one.
-func (x *Index) SimRank(u, v graph.NodeID, s *Scratch) float64 {
-	if s == nil {
-		s = x.NewScratch()
-	}
-	ku, vu := x.gather(u, s, 0)
-	kv, vv := x.gather(v, s, 1)
-	return joinScore(ku, vu, kv, vv, x.d)
 }
 
 // joinScore merge-joins two sorted HP entry lists and accumulates

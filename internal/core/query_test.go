@@ -44,10 +44,10 @@ func TestSpaceReductionPreservesAccuracy(t *testing.T) {
 	const c = 0.6
 	truth := groundTruth(t, g, c)
 	x := buildIndex(t, g, &Options{C: c, Eps: 0.05, Seed: 57})
-	s := x.NewScratch()
+	p := x.NewScratchPool()
 	for i := 0; i < 40; i++ {
 		for j := 0; j < 40; j++ {
-			got := x.SimRank(graph.NodeID(i), graph.NodeID(j), s)
+			got := must(p.SimRank(graph.NodeID(i), graph.NodeID(j)))
 			if d := math.Abs(got - truth.At(i, j)); d > x.ErrorBound() {
 				t.Fatalf("reduced-index error %v at (%d,%d) exceeds %v", d, i, j, x.ErrorBound())
 			}
@@ -89,12 +89,12 @@ func TestEnhanceImprovesOrMatchesAccuracy(t *testing.T) {
 	truth := groundTruth(t, g, c)
 	plain := buildIndex(t, g, &Options{C: c, Eps: 0.08, Seed: 65})
 	enhanced := buildIndex(t, g, &Options{C: c, Eps: 0.08, Seed: 65, Enhance: true})
-	sp, se := plain.NewScratch(), enhanced.NewScratch()
+	pp, pe := plain.NewScratchPool(), enhanced.NewScratchPool()
 	var sumPlain, sumEnh float64
 	for i := 0; i < 40; i++ {
 		for j := 0; j < 40; j++ {
-			gp := plain.SimRank(graph.NodeID(i), graph.NodeID(j), sp)
-			ge := enhanced.SimRank(graph.NodeID(i), graph.NodeID(j), se)
+			gp := must(pp.SimRank(graph.NodeID(i), graph.NodeID(j)))
+			ge := must(pe.SimRank(graph.NodeID(i), graph.NodeID(j)))
 			sumPlain += math.Abs(gp - truth.At(i, j))
 			sumEnh += math.Abs(ge - truth.At(i, j))
 			if d := math.Abs(ge - truth.At(i, j)); d > enhanced.ErrorBound() {
@@ -115,7 +115,7 @@ func TestEnhancedEntriesNeverOverestimate(t *testing.T) {
 	exact := walk.ExactHP(g, c, maxL)
 	s := x.NewScratch()
 	for v := graph.NodeID(0); v < 30; v++ {
-		keys, vals := x.gather(v, s, 0)
+		keys, vals, _ := x.gatherAt(x, v, s, 0)
 		for i, key := range keys {
 			l, k := keyStep(key), keyNode(key)
 			if l > maxL {
@@ -133,12 +133,11 @@ func TestEnhancedEntriesNeverOverestimate(t *testing.T) {
 func TestSingleSourceMatchesSinglePair(t *testing.T) {
 	g := randomGraph(40, 240, 71)
 	x := buildIndex(t, g, &Options{Eps: 0.05, Seed: 73})
-	ss := x.NewSourceScratch()
-	qs := x.NewScratch()
+	p := x.NewScratchPool()
 	for _, u := range []graph.NodeID{0, 13, 39} {
-		scores := x.SingleSource(u, ss, nil)
+		scores := must(p.SingleSource(u, nil))
 		for v := graph.NodeID(0); v < 40; v++ {
-			pair := x.SimRank(u, v, qs)
+			pair := must(p.SimRank(u, v))
 			// Algorithm 6's fold drops entries ≤ τ_h before each hop, so
 			// it is not bit-identical to Algorithm 3, but both carry the
 			// ε guarantee; their gap is bounded by the θ-induced error.
@@ -154,9 +153,9 @@ func TestSingleSourceAccuracy(t *testing.T) {
 	const c = 0.6
 	truth := groundTruth(t, g, c)
 	x := buildIndex(t, g, &Options{C: c, Eps: 0.05, Seed: 77})
-	ss := x.NewSourceScratch()
+	p := x.NewScratchPool()
 	for u := 0; u < 40; u++ {
-		scores := x.SingleSource(graph.NodeID(u), ss, nil)
+		scores := must(p.SingleSource(graph.NodeID(u), nil))
 		for v := 0; v < 40; v++ {
 			if d := math.Abs(scores[v] - truth.At(u, v)); d > x.ErrorBound() {
 				t.Fatalf("single-source error %v at (%d,%d) exceeds %v", d, u, v, x.ErrorBound())
@@ -168,11 +167,10 @@ func TestSingleSourceAccuracy(t *testing.T) {
 func TestSingleSourceNaiveMatchesPairs(t *testing.T) {
 	g := randomGraph(30, 160, 79)
 	x := buildIndex(t, g, &Options{Eps: 0.06, Seed: 81})
-	s := x.NewScratch()
-	out := x.SingleSourceNaive(7, s, nil)
-	s2 := x.NewScratch()
+	p := x.NewScratchPool()
+	out := must(p.SingleSourceNaive(7, nil))
 	for v := graph.NodeID(0); v < 30; v++ {
-		want := x.SimRank(7, v, s2)
+		want := must(p.SimRank(7, v))
 		if math.Abs(out[v]-want) > 1e-12 {
 			t.Fatalf("naive single-source differs from pair query at %d: %v vs %v", v, out[v], want)
 		}
@@ -183,9 +181,13 @@ func TestSingleSourceBufferReuse(t *testing.T) {
 	g := randomGraph(20, 100, 83)
 	x := buildIndex(t, g, &Options{Eps: 0.08, Seed: 85})
 	buf := make([]float64, 20)
-	out := x.SingleSource(3, nil, buf)
+	out := must(x.NewScratchPool().SingleSource(3, buf))
 	if &out[0] != &buf[0] {
 		t.Fatal("provided buffer not reused")
+	}
+	naive := must(x.NewScratchPool().SingleSourceNaive(3, buf))
+	if &naive[0] != &buf[0] {
+		t.Fatal("provided buffer not reused by the Alg-3 loop")
 	}
 }
 
@@ -203,10 +205,10 @@ func TestSerializationRoundTrip(t *testing.T) {
 	if x2.NumEntries() != x.NumEntries() {
 		t.Fatalf("entry count changed: %d -> %d", x.NumEntries(), x2.NumEntries())
 	}
-	s1, s2 := x.NewScratch(), x2.NewScratch()
+	p1, p2 := x.NewScratchPool(), x2.NewScratchPool()
 	for i := graph.NodeID(0); i < 40; i++ {
 		for j := graph.NodeID(0); j < 40; j += 3 {
-			a, b := x.SimRank(i, j, s1), x2.SimRank(i, j, s2)
+			a, b := must(p1.SimRank(i, j)), must(p2.SimRank(i, j))
 			if a != b {
 				t.Fatalf("round-trip changed s(%d,%d): %v -> %v", i, j, a, b)
 			}
@@ -249,11 +251,11 @@ func TestDiskIndexMatchesMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer di.Close()
-	ms := x.NewScratch()
+	mp := x.NewScratchPool()
 	p, ds := di.NewScratchPool(), di.NewScratch()
 	for i := graph.NodeID(0); i < 50; i++ {
 		for j := graph.NodeID(0); j < 50; j += 7 {
-			want := x.SimRank(i, j, ms)
+			want := must(mp.SimRank(i, j))
 			got, err := p.simRank(i, j, ds)
 			if err != nil {
 				t.Fatal(err)
@@ -301,10 +303,10 @@ func TestPropertyErrorBound(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		s := x.NewScratch()
+		p := x.NewScratchPool()
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				got := x.SimRank(graph.NodeID(i), graph.NodeID(j), s)
+				got := must(p.SimRank(graph.NodeID(i), graph.NodeID(j)))
 				if math.Abs(got-truth.At(i, j)) > x.ErrorBound() {
 					return false
 				}
@@ -329,10 +331,9 @@ func TestDiskIndexSingleSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer di.Close()
-	ss := x.NewSourceScratch()
-	p := di.NewScratchPool()
+	mp, p := x.NewScratchPool(), di.NewScratchPool()
 	for _, u := range []graph.NodeID{0, 19, 39} {
-		want := x.SingleSource(u, ss, nil)
+		want := must(mp.SingleSource(u, nil))
 		got, err := p.SingleSource(u, nil)
 		if err != nil {
 			t.Fatal(err)

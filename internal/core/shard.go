@@ -25,43 +25,45 @@ import (
 // Every path reuses the single-index query code verbatim, so sharded
 // answers are bitwise-identical to the unsharded reference.
 
-// FragmentOf gathers node u's effective HP entry list (stored entries
-// with exact step-1/2 reconstruction and enhancement expansion applied,
-// exactly as queries see it) into freshly allocated slices, plus the d̃
-// value of each entry's meeting node. Unlike gather, the result never
-// aliases index storage or scratch, so it can outlive both — the shape a
-// sharded router ships between shards.
+// fragmentOf gathers node u's effective HP entry list from src (stored
+// entries with exact step-1/2 reconstruction and enhancement expansion
+// applied, exactly as queries see it) into freshly allocated slices,
+// plus the d̃ value of each entry's meeting node. The result never
+// aliases index storage or scratch, so it can outlive both: the shape a
+// sharded router ships between shards. It is the one fragment path
+// behind Index.FragmentOf, DiskIndex.FragmentOf and ScratchPool.Fragment.
+func fragmentOf(x *Index, src entrySource, u graph.NodeID, s *Scratch) (keys []uint64, vals, dvals []float64, err error) {
+	gk, gv, err := x.gatherAt(src, u, s, 0)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	keys = append([]uint64(nil), gk...)
+	vals = append([]float64(nil), gv...)
+	dvals = make([]float64, len(keys))
+	for i, key := range keys {
+		dvals[i] = x.d[keyNode(key)]
+	}
+	return keys, vals, dvals, nil
+}
+
+// FragmentOf is fragmentOf over the resident entries, with caller
+// scratch (a nil s allocates one).
 func (x *Index) FragmentOf(u graph.NodeID, s *Scratch) (keys []uint64, vals, dvals []float64) {
 	if s == nil {
 		s = x.NewScratch()
 	}
-	k, v := x.gather(u, s, 0)
-	return copyFragment(k, v, x.d)
+	// The resident source cannot fail.
+	keys, vals, dvals, _ = fragmentOf(x, x, u, s)
+	return keys, vals, dvals
 }
 
-// FragmentOf is Index.FragmentOf over disk-resident entries: one
-// positioned read (or a zero-copy view slice) plus the same gather
-// transformations.
+// FragmentOf is fragmentOf over disk-resident entries: one positioned
+// read (or a zero-copy view slice) plus the same gather transformations.
 func (d *DiskIndex) FragmentOf(u graph.NodeID, s *Scratch) (keys []uint64, vals, dvals []float64, err error) {
 	if s == nil {
 		s = d.NewScratch()
 	}
-	gk, gv, err := d.meta.gatherAt(d, u, s, 0)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	keys, vals, dvals = copyFragment(gk, gv, d.meta.d)
-	return keys, vals, dvals, nil
-}
-
-func copyFragment(k []uint64, v []float64, d []float64) ([]uint64, []float64, []float64) {
-	keys := append([]uint64(nil), k...)
-	vals := append([]float64(nil), v...)
-	dvals := make([]float64, len(keys))
-	for i, key := range keys {
-		dvals[i] = d[keyNode(key)]
-	}
-	return keys, vals, dvals
+	return fragmentOf(d.meta, d, u, s)
 }
 
 // JoinScoreD is the Algorithm 3 merge join over two gathered fragments
@@ -141,14 +143,11 @@ func (x *Index) EntryBytes() []int64 {
 	return w
 }
 
-// Fragment returns u's gathered fragment (as Index.FragmentOf: fresh
-// slices plus per-entry d̃ values) with pooled scratch.
+// Fragment is fragmentOf over the pool's entry source, with pooled
+// scratch.
 func (p *ScratchPool) Fragment(u graph.NodeID) (keys []uint64, vals, dvals []float64, err error) {
 	s := p.Scratch()
-	gk, gv, err := p.x.gatherAt(p.src, u, s, 0)
-	if err == nil {
-		keys, vals, dvals = copyFragment(gk, gv, p.x.d)
-	}
+	keys, vals, dvals, err = fragmentOf(p.x, p.src, u, s)
 	p.PutScratch(s)
 	return keys, vals, dvals, err
 }

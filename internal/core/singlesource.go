@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"sling/internal/graph"
-	"sling/internal/power"
 )
 
 // Single-source queries (Section 6 of the paper).
@@ -69,17 +68,6 @@ func (x *Index) NewSourceScratch() *SourceScratch {
 	}
 }
 
-// SingleSource computes s̃(u, v) for every node v with Algorithm 6,
-// writing into out if it has capacity n and allocating otherwise.
-// A nil scratch allocates one.
-func (x *Index) SingleSource(u graph.NodeID, s *SourceScratch, out []float64) []float64 {
-	if s == nil {
-		s = x.NewSourceScratch()
-	}
-	keys, vals := x.gather(u, s.q, 0)
-	return x.SingleSourceFrom(keys, vals, s, out)
-}
-
 // SingleSourceFrom runs the Algorithm 6 propagation from an already
 // gathered HP entry list instead of a node: the seeds are h values
 // (pre-correction; d̃ is applied here), sorted by key. It is the dense
@@ -123,18 +111,6 @@ func (x *Index) topFrom(keys []uint64, vals []float64, k int, skip graph.NodeID,
 	top := selectHits(s.acc, s.hits, k, skip, lo, hi)
 	s.drain(nil, 0)
 	return top
-}
-
-// sourceTop gathers u's entries and runs topFrom over the whole graph.
-func (x *Index) sourceTop(u graph.NodeID, k int, skip graph.NodeID, s *SourceScratch) []TopEntry {
-	if k <= 0 {
-		return nil
-	}
-	if s == nil {
-		s = x.NewSourceScratch()
-	}
-	keys, vals := x.gather(u, s.q, 0)
-	return x.topFrom(keys, vals, k, skip, 0, x.g.NumNodes(), s)
 }
 
 // propagate adds the Algorithm 6 scores of a gathered entry list into
@@ -211,28 +187,6 @@ func (s *SourceScratch) drain(out []float64, lo int) {
 	s.hits = s.hits[:0]
 }
 
-// SingleSourceNaive answers a single-source query by running the
-// Algorithm 3 single-pair join once per node — the O(n/ε) straightforward
-// method the paper compares Algorithm 6 against in Figure 2.
-func (x *Index) SingleSourceNaive(u graph.NodeID, s *Scratch, out []float64) []float64 {
-	if s == nil {
-		s = x.NewScratch()
-	}
-	n := x.g.NumNodes()
-	if cap(out) < n {
-		out = make([]float64, n)
-	}
-	out = out[:n]
-	ku, vu := x.gather(u, s, 0)
-	// Gathering v below uses only the second slot, so u's entries in
-	// the first stay valid.
-	for v := 0; v < n; v++ {
-		kv, vv := x.gather(graph.NodeID(v), s, 1)
-		out[v] = joinScore(ku, vu, kv, vv, x.d)
-	}
-	return out
-}
-
 // CtxErr reports a cancelled or expired context, tolerating nil
 // (treated as context.Background(): never cancelled). It is the one
 // shared helper behind every cancellation check in the query stack —
@@ -251,8 +205,8 @@ func CtxErr(ctx context.Context) error {
 // With workers <= 1 it runs inline on the caller's goroutine. Each call
 // of fn is independent, so the results are identical at any worker
 // count. It is the one parallel loop of the query stack and the build:
-// the resident reference methods, the serving engine, the dynamic tier,
-// and the build's d̃ and HP passes all fan out through it.
+// the serving engine, the dynamic tier, and the build's d̃ and HP passes
+// all fan out through it.
 //
 // The first error fn returns stops the fan-out and is returned. ctx (nil
 // means never cancelled) is observed between units: once it is
@@ -317,30 +271,4 @@ func ForEach[S any](ctx context.Context, count, workers int, newState func() S, 
 		return *ep
 	}
 	return nil
-}
-
-// forEachSource is ForEach with a SourceScratch per worker and
-// Options.Workers goroutines when workers <= 0.
-func (x *Index) forEachSource(ctx context.Context, count, workers int, fn func(i int, s *SourceScratch) error) error {
-	if workers <= 0 {
-		workers = x.prm.workers
-	}
-	return ForEach(ctx, count, workers, x.NewSourceScratch, fn)
-}
-
-// AllPairs materializes the full score matrix by running Algorithm 6 from
-// every node — the procedure behind the paper's accuracy experiments
-// (Figures 5-7) — parallel across Options.Workers. It needs O(n²) output
-// memory; callers own sizing checks. Cancellation is observed between
-// sources.
-func (x *Index) AllPairs(ctx context.Context) (*power.Scores, error) {
-	n := x.g.NumNodes()
-	s := &power.Scores{N: n, Data: make([]float64, n*n)}
-	if err := x.forEachSource(ctx, n, 0, func(u int, ss *SourceScratch) error {
-		x.SingleSource(graph.NodeID(u), ss, s.Data[u*n:(u+1)*n])
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return s, nil
 }

@@ -61,12 +61,12 @@ func TestPropagationWithinBound(t *testing.T) {
 			x := buildIndex(t, tc.g, &Options{Eps: eps, Seed: 95, Enhance: true})
 			c, sqrtC, theta := x.prm.c, x.prm.sqrtC, x.prm.theta
 			bound := theta * c / ((1 - c) * (1 - sqrtC))
-			ss := x.NewSourceScratch()
+			p := x.NewScratchPool()
 			maxGap := 0.0
 			for u := 0; u < tc.g.NumNodes(); u++ {
 				keys, vals, _ := x.FragmentOf(graph.NodeID(u), nil)
 				ref := unprunedSingleSource(x, keys, vals)
-				got := x.SingleSource(graph.NodeID(u), ss, nil)
+				got := must(p.SingleSource(graph.NodeID(u), nil))
 				for v := range ref {
 					gap := ref[v] - got[v]
 					if gap < -1e-12 || gap > bound+1e-12 {

@@ -141,10 +141,3 @@ func siftDown(h []TopEntry, i int) {
 		i = m
 	}
 }
-
-// TopK returns the k nodes most similar to u (excluding u itself) in
-// descending score order: one gather, one propagation, and a heap
-// selection over the touched nodes. A nil scratch allocates one.
-func (x *Index) TopK(u graph.NodeID, k int, s *SourceScratch) []TopEntry {
-	return x.sourceTop(u, k, u, s)
-}

@@ -48,10 +48,10 @@ func TestSelectTopMatchesFullSort(t *testing.T) {
 	for _, seed := range []uint64{3, 4, 5} {
 		g := randomGraph(60, 300, seed)
 		x := buildIndex(t, g, &Options{Eps: 0.08, Seed: seed})
-		ss := x.NewSourceScratch()
+		p := x.NewScratchPool()
 		var out []float64
 		for u := graph.NodeID(0); u < 10; u++ {
-			out = x.SingleSource(u, ss, out)
+			out = must(p.SingleSource(u, out))
 			for _, k := range []int{1, 3, 10, 59, 60, 1000} {
 				got := SelectTop(out, k, u)
 				want := sortTop(out, k, u)
@@ -97,9 +97,9 @@ func TestSelectTopEdgeCases(t *testing.T) {
 func TestIndexTopKMatchesReference(t *testing.T) {
 	g := randomGraph(80, 400, 9)
 	x := buildIndex(t, g, &Options{Eps: 0.08, Seed: 9})
-	ss := x.NewSourceScratch()
-	ref := x.SingleSource(5, nil, nil)
-	got := x.TopK(5, 7, ss)
+	p := x.NewScratchPool()
+	ref := must(p.SingleSource(5, nil))
+	got := must(p.TopK(5, 7))
 	if want := sortTop(ref, 7, 5); !equalTop(got, want) {
 		t.Fatalf("TopK %v, want %v", got, want)
 	}
@@ -113,12 +113,11 @@ func TestSingleSourceBatchMatchesSerial(t *testing.T) {
 	for i := range us {
 		us[i] = graph.NodeID(r.Intn(g.NumNodes()))
 	}
-	ss := x.NewSourceScratch()
+	p := x.NewScratchPool()
 	serial := make([][]float64, len(us))
 	for i, u := range us {
-		serial[i] = x.SingleSource(u, ss, nil)
+		serial[i] = must(p.SingleSource(u, nil))
 	}
-	p := x.NewScratchPool()
 	for _, workers := range []int{1, 2, 3, 8, 64} {
 		batch, err := p.SingleSourceBatch(nil, us, workers)
 		if err != nil {
@@ -141,20 +140,24 @@ func TestSingleSourceBatchMatchesSerial(t *testing.T) {
 func TestAllPairsParallelMatchesSerial(t *testing.T) {
 	g := randomGraph(50, 250, 13)
 	// Workers is a build option; the same seed yields the identical index,
-	// and AllPairs inherits the worker count for its row fan-out.
+	// and a batch with workers <= 0 inherits the worker count for its row
+	// fan-out. Every source's row makes the full score matrix.
 	serialIx := buildIndex(t, g, &Options{Eps: 0.08, Seed: 13, Workers: 1})
 	parallelIx := buildIndex(t, g, &Options{Eps: 0.08, Seed: 13, Workers: 4})
-	a, errA := serialIx.AllPairs(nil)
-	b, errB := parallelIx.AllPairs(nil)
+	us := make([]graph.NodeID, g.NumNodes())
+	for i := range us {
+		us[i] = graph.NodeID(i)
+	}
+	a, errA := serialIx.NewScratchPool().SingleSourceBatch(nil, us, 0)
+	b, errB := parallelIx.NewScratchPool().SingleSourceBatch(nil, us, 0)
 	if errA != nil || errB != nil {
-		t.Fatalf("AllPairs: %v / %v", errA, errB)
+		t.Fatalf("all pairs: %v / %v", errA, errB)
 	}
-	if a.N != b.N {
-		t.Fatalf("N %d != %d", a.N, b.N)
-	}
-	for i := range a.Data {
-		if a.Data[i] != b.Data[i] {
-			t.Fatalf("entry %d: %v != %v", i, a.Data[i], b.Data[i])
+	for u := range a {
+		for v := range a[u] {
+			if a[u][v] != b[u][v] {
+				t.Fatalf("s(%d,%d): %v != %v", u, v, a[u][v], b[u][v])
+			}
 		}
 	}
 }
@@ -163,8 +166,8 @@ func TestScratchPoolConcurrentDeterminism(t *testing.T) {
 	g := randomGraph(60, 300, 19)
 	x := buildIndex(t, g, &Options{Eps: 0.08, Seed: 19})
 	pool := x.NewScratchPool()
-	wantPair := x.SimRank(2, 3, nil)
-	wantTop := sortTop(x.SingleSource(4, nil, nil), 5, 4)
+	wantPair := must(pool.SimRank(2, 3))
+	wantTop := sortTop(must(pool.SingleSource(4, nil)), 5, 4)
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
 	for w := 0; w < 8; w++ {

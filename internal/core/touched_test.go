@@ -163,11 +163,11 @@ func TestTouchedTopKMatchesDenseSelect(t *testing.T) {
 	}
 	n := g.NumNodes()
 	mid := n / 3
-	ss := x.NewSourceScratch()
+	mem := backends[0].p
 	var dense []float64
 	for _, b := range backends {
 		for u := graph.NodeID(0); int(u) < n; u++ {
-			dense = x.SingleSource(u, ss, dense)
+			dense = must(mem.SingleSource(u, dense))
 			keys, vals, _ := x.FragmentOf(u, nil)
 			for _, k := range []int{1, 10, n} {
 				got, err := b.p.TopK(u, k)
@@ -229,7 +229,7 @@ func TestPooledTopKAllocs(t *testing.T) {
 	}
 	const u = 3
 	keys, vals, _ := x.FragmentOf(u, nil)
-	if len(SelectTop(x.SingleSource(u, nil, nil), 5, u)) == 0 {
+	if len(SelectTop(must(backends[0].p.SingleSource(u, nil)), 5, u)) == 0 {
 		t.Fatal("test node has no similar nodes; pick another")
 	}
 	n := g.NumNodes()

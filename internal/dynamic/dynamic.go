@@ -359,23 +359,35 @@ func (s *stage) decide(op Op) (bool, error) {
 // next builds the CSR of the staged edge set: g's edges minus the staged
 // removes, plus the staged adds. With nothing staged that is g itself,
 // so a restore with no pending ops publishes the base graph it loaded.
+// Only the rows of the staged ops' sources consult the overlay; every
+// other row is copied as it is.
 func (s *stage) next() *graph.Graph {
 	if len(s.ops) == 0 {
 		return s.g
 	}
-	b := graph.NewBuilder(s.g.NumNodes())
-	s.g.Edges(func(from, to graph.NodeID) bool {
-		if present, ok := s.present[edgeKey(from, to)]; !ok || present {
-			b.AddEdge(from, to)
-		}
-		return true
-	})
-	for k, present := range s.present {
-		if present {
-			b.AddEdge(graph.NodeID(k>>32), graph.NodeID(uint32(k)))
+	n := s.g.NumNodes()
+	staged := make([]bool, n)
+	for _, op := range s.ops {
+		staged[op.From] = true
+	}
+	edges := make([]graph.Edge, 0, s.g.NumEdges()+len(s.present))
+	for v := 0; v < n; v++ {
+		from := graph.NodeID(v)
+		for _, to := range s.g.OutNeighbors(from) {
+			if staged[v] {
+				if present, ok := s.present[edgeKey(from, to)]; ok && !present {
+					continue
+				}
+			}
+			edges = append(edges, graph.Edge{From: from, To: to})
 		}
 	}
-	return b.Build()
+	for k, present := range s.present {
+		if present {
+			edges = append(edges, graph.Edge{From: graph.NodeID(k >> 32), To: graph.NodeID(uint32(k))})
+		}
+	}
+	return graph.FromEdges(n, edges)
 }
 
 // commitLocked appends a staged (and, when durable, journaled) batch to
@@ -586,9 +598,8 @@ func (d *Dynamic) SimRank(u, v graph.NodeID) float64 {
 	w := d.acquire()
 	defer d.release(w.gen)
 	if w.clean(u) && w.clean(v) {
-		s := w.gen.pool.Scratch()
-		score := w.gen.ix.SimRank(u, v, s)
-		w.gen.pool.PutScratch(s)
+		// The pool reads the resident index, which cannot fail.
+		score, _ := w.gen.pool.SimRank(u, v)
 		return clamp01(score)
 	}
 	return d.pairEstimate(w.g, u, v)
@@ -610,9 +621,9 @@ func (d *Dynamic) singleSource(w *view, u graph.NodeID, out []float64) []float64
 	}
 	out = out[:d.n]
 	if w.clean(u) {
-		ss := w.gen.pool.Source()
-		out = w.gen.ix.SingleSource(u, ss, out)
-		w.gen.pool.PutSource(ss)
+		// The pool reads the resident index, which cannot fail, and out
+		// already has capacity n, so it is written in place.
+		out, _ = w.gen.pool.SingleSource(u, out)
 		for i, s := range out {
 			out[i] = clamp01(s)
 		}

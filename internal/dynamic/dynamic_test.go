@@ -198,10 +198,15 @@ func TestRebuildEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 
+		pool := fresh.NewScratchPool()
 		r := rng.New(tc.seed + 999)
 		for q := 0; q < 50; q++ {
 			u, v := graph.NodeID(r.Intn(tc.n)), graph.NodeID(r.Intn(tc.n))
-			if got, want := d.SimRank(u, v), clamp01(fresh.SimRank(u, v, nil)); got != want {
+			score, err := pool.SimRank(u, v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := d.SimRank(u, v), clamp01(score); got != want {
 				t.Fatalf("n=%d: SimRank(%d,%d) = %v, fresh build %v", tc.n, u, v, got, want)
 			}
 		}
@@ -211,7 +216,10 @@ func TestRebuildEquivalence(t *testing.T) {
 		}
 		for _, u := range sources {
 			got := d.SingleSource(u, nil)
-			want := fresh.SingleSource(u, nil, nil)
+			want, err := pool.SingleSource(u, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for v := range want {
 				if got[v] != clamp01(want[v]) {
 					t.Fatalf("n=%d: SingleSource(%d)[%d] = %v, fresh %v", tc.n, u, v, got[v], want[v])
@@ -244,7 +252,10 @@ func TestRebuildEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, u := range sources {
-			want := fresh.SingleSource(u, nil, nil)
+			want, err := pool.SingleSource(u, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for v := range want {
 				if rows[i][v] != clamp01(want[v]) {
 					t.Fatalf("n=%d: batch row %d (source %d) diverges at %d", tc.n, i, u, v)

@@ -91,9 +91,6 @@ func (s *Sorter) Add(r Record) error {
 	return nil
 }
 
-// Spills returns how many runs were written to disk so far.
-func (s *Sorter) Spills() int { return s.spills }
-
 func (s *Sorter) spill() error {
 	if len(s.buf) == 0 {
 		return nil

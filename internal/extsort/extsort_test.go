@@ -88,8 +88,8 @@ func TestInMemoryPath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Spills() != 0 {
-		t.Fatalf("unexpected spills: %d", s.Spills())
+	if s.spills != 0 {
+		t.Fatalf("unexpected spills: %d", s.spills)
 	}
 	it, err := s.Sort()
 	if err != nil {
@@ -114,8 +114,8 @@ func TestSpillingPath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Spills() < 2 {
-		t.Fatalf("expected multiple spills, got %d", s.Spills())
+	if s.spills < 2 {
+		t.Fatalf("expected multiple spills, got %d", s.spills)
 	}
 	it, err := s.Sort()
 	if err != nil {

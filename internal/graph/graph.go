@@ -131,8 +131,9 @@ func (g *Graph) Bytes() int64 {
 		int64(len(g.outTo))*4 + int64(len(g.inFrom))*4
 }
 
-// Validate checks internal CSR invariants. It is used by tests and by the
-// loaders after deserialization; a healthy Graph always passes.
+// Validate checks internal CSR invariants. Only tests call it, in this
+// and other packages; every graph the builders and loaders produce
+// passes.
 func (g *Graph) Validate() error {
 	if int64(len(g.outTo)) != g.m || int64(len(g.inFrom)) != g.m {
 		return fmt.Errorf("graph: edge array length mismatch: out=%d in=%d m=%d",
@@ -306,11 +307,16 @@ func ascending(row []int32) bool {
 }
 
 // FromEdges builds a directed graph with n nodes from an edge slice,
-// removing duplicates and keeping self-loops.
+// removing duplicates and keeping self-loops. It panics if an endpoint
+// is out of range. edges is read, not kept or modified.
 func FromEdges(n int, edges []Edge) *Graph {
-	b := NewBuilder(n)
-	for _, e := range edges {
-		b.AddEdge(e.From, e.To)
+	if n < 0 {
+		panic("graph: negative node count")
 	}
-	return b.Build()
+	for _, e := range edges {
+		if e.From < 0 || int(e.From) >= n || e.To < 0 || int(e.To) >= n {
+			panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", e.From, e.To, n))
+		}
+	}
+	return build(int32(n), edges)
 }

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -107,6 +109,39 @@ func TestAddEdgeOutOfRangePanics(t *testing.T) {
 		}
 	}()
 	NewBuilder(2).AddEdge(0, 2)
+}
+
+// FromEdges hands its slice to build without a Builder: the CSR must be
+// the Builder's, the input must come back untouched, and an endpoint out
+// of range must panic with AddEdge's text.
+func TestFromEdgesMatchesBuilder(t *testing.T) {
+	r := rng.New(7)
+	edges := make([]Edge, 500)
+	for i := range edges {
+		edges[i] = Edge{NodeID(r.Intn(40)), NodeID(r.Intn(40))}
+	}
+	in := slices.Clone(edges)
+	b := NewBuilder(40)
+	for _, e := range edges {
+		b.AddEdge(e.From, e.To)
+	}
+	if g := FromEdges(40, edges); !sameCSR(g, b.Build()) || g.Validate() != nil {
+		t.Fatal("FromEdges CSR differs from the Builder's")
+	}
+	if !slices.Equal(edges, in) {
+		t.Fatal("FromEdges modified its input")
+	}
+	for _, e := range []Edge{{0, 40}, {40, 0}, {-1, 0}, {0, -1}} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("graph: edge (%d,%d) out of range [0,40)", e.From, e.To)
+				if got := recover(); got != want {
+					t.Errorf("FromEdges(%v) panicked with %v, want %q", e, got, want)
+				}
+			}()
+			FromEdges(40, []Edge{{0, 1}, e})
+		}()
+	}
 }
 
 func TestStats(t *testing.T) {

@@ -106,9 +106,6 @@ func New(o Options) (*Client, error) {
 	return c, nil
 }
 
-// Nodes returns the served node count the client was configured with.
-func (c *Client) Nodes() int { return c.n }
-
 // Close implements sling.Querier; the client owns no connection state
 // beyond the transport's, so it is a no-op.
 func (c *Client) Close() error { return nil }

@@ -143,7 +143,7 @@ func TestNewValidation(t *testing.T) {
 	}
 	// Meta identity comes from construction; /stats scraping fails (404)
 	// and is ignored.
-	if m := c.Meta(); c.Nodes() != 4 || m.Name != "remote" || !m.Clamped || m.C != 0 {
-		t.Fatalf("client config lost: nodes=%d meta=%+v", c.Nodes(), m)
+	if m := c.Meta(); m.Nodes != 4 || m.Name != "remote" || !m.Clamped || m.C != 0 {
+		t.Fatalf("client config lost: meta=%+v", m)
 	}
 }

@@ -185,9 +185,6 @@ func Build(g *graph.Graph, o *Options) (*Index, error) {
 	return x, nil
 }
 
-// D returns the estimated diagonal correction factors (aliases storage).
-func (x *Index) D() []float64 { return x.d }
-
 // SetD overrides the correction factors, letting tests and experiments run
 // the query machinery with an exact D. It panics on a length mismatch.
 func (x *Index) SetD(d []float64) {
@@ -199,9 +196,6 @@ func (x *Index) SetD(d []float64) {
 
 // Bytes returns the index footprint (the D vector).
 func (x *Index) Bytes() int64 { return int64(len(x.d)) * 8 }
-
-// T returns the series truncation length.
-func (x *Index) T() int { return x.t }
 
 // Scratch holds the per-query work vectors so repeated queries do not
 // allocate. A Scratch must not be shared across goroutines.

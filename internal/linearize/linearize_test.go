@@ -46,7 +46,7 @@ func TestEmptyGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(x.D()) != 0 {
+	if len(x.d) != 0 {
 		t.Fatal("non-empty D for empty graph")
 	}
 }
@@ -115,7 +115,7 @@ func TestEstimatedDCloseToExact(t *testing.T) {
 	}
 	worst := 0.0
 	for k := range exact {
-		if d := math.Abs(x.D()[k] - exact[k]); d > worst {
+		if d := math.Abs(x.d[k] - exact[k]); d > worst {
 			worst = d
 		}
 	}
@@ -192,8 +192,8 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := range x1.D() {
-		if x1.D()[k] != x4.D()[k] {
+	for k := range x1.d {
+		if x1.d[k] != x4.d[k] {
 			t.Fatalf("D[%d] differs across worker counts", k)
 		}
 	}

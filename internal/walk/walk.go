@@ -23,7 +23,6 @@ import (
 // independent rng streams.
 type Walker struct {
 	g     *graph.Graph
-	c     float64
 	sqrtC float64
 	// goOn is ⌈√c·2⁵³⌉: a walk continues when the top 53 bits of a draw
 	// are below it, which is exactly r.Bernoulli(√c) as one integer
@@ -45,7 +44,7 @@ func New(g *graph.Graph, c float64, r *rng.Source) *Walker {
 		panic(fmt.Sprintf("walk: decay factor %v out of (0,1)", c))
 	}
 	sqrtC := math.Sqrt(c)
-	return &Walker{g: g, c: c, sqrtC: sqrtC, goOn: threshold(sqrtC), bothOn: threshold(c), r: *r}
+	return &Walker{g: g, sqrtC: sqrtC, goOn: threshold(sqrtC), bothOn: threshold(c), r: *r}
 }
 
 // threshold returns ⌈p·2⁵³⌉: a draw whose top 53 bits fall below it
@@ -54,17 +53,11 @@ func threshold(p float64) uint64 {
 	return uint64(math.Ceil(p * (1 << 53)))
 }
 
-// C returns the decay factor.
-func (w *Walker) C() float64 { return w.c }
-
 // Rng returns the walker's own random stream (the copy New took), so
 // callers that interleave walks with other sampling (e.g. drawing
 // in-neighbor pairs for SLING's correction factors) stay on one
 // deterministic stream.
 func (w *Walker) Rng() *rng.Source { return &w.r }
-
-// SqrtC returns √c, the per-step continuation probability.
-func (w *Walker) SqrtC() float64 { return w.sqrtC }
 
 // step returns the next node of a √c-walk at v, or (-1, false) if the walk
 // stops (by the 1−√c coin or because v has no in-neighbors).

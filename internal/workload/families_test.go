@@ -99,9 +99,9 @@ func TestFamilyStructuralProperties(t *testing.T) {
 
 	pl := byName("powerlaw")
 	er := byName("er")
-	if DegreeSkew(pl) <= DegreeSkew(er) {
+	if degreeSkew(pl) <= degreeSkew(er) {
 		t.Errorf("powerlaw skew %.2f not above er skew %.2f",
-			DegreeSkew(pl), DegreeSkew(er))
+			degreeSkew(pl), degreeSkew(er))
 	}
 }
 

@@ -16,7 +16,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"sling/internal/graph"
 	"sling/internal/rng"
@@ -272,22 +271,4 @@ func RandomNodes(g *graph.Graph, count int, seed uint64) []graph.NodeID {
 		out[i] = int32(r.Intn(n))
 	}
 	return out
-}
-
-// DegreeSkew returns the ratio of the 99th-percentile in-degree to the
-// average in-degree — a crude heavy-tail indicator used by tests to check
-// the generator families differ as intended.
-func DegreeSkew(g *graph.Graph) float64 {
-	n := g.NumNodes()
-	if n == 0 || g.NumEdges() == 0 {
-		return 0
-	}
-	degs := make([]int, n)
-	for v := 0; v < n; v++ {
-		degs[v] = g.InDegree(int32(v))
-	}
-	sort.Ints(degs)
-	p99 := degs[n-1-n/100]
-	avg := float64(g.NumEdges()) / float64(n)
-	return float64(p99) / avg
 }

@@ -141,8 +141,8 @@ func TestScalePanicsOnNonPositive(t *testing.T) {
 func TestGeneratorFamiliesDiffer(t *testing.T) {
 	pa := Spec{Name: "pa", Directed: true, Kind: PrefAttach, Nodes: 3000, Edges: 15000, Seed: 1}
 	un := Spec{Name: "un", Directed: true, Kind: Uniform, Nodes: 3000, Edges: 15000, Seed: 1}
-	skewPA := DegreeSkew(pa.Generate(1))
-	skewUn := DegreeSkew(un.Generate(1))
+	skewPA := degreeSkew(pa.Generate(1))
+	skewUn := degreeSkew(un.Generate(1))
 	if skewPA <= skewUn {
 		t.Fatalf("pref-attach skew %.2f not above uniform %.2f", skewPA, skewUn)
 	}
